@@ -39,7 +39,9 @@ constexpr int kFlushEvery = 8;
 /// One scan flattened to the wire's float-triple layout.
 std::vector<float> flat_xyz(const data::DatasetScan& scan) {
   std::vector<float> xyz(scan.points.size() * 3);
-  std::memcpy(xyz.data(), &scan.points.points().front().x, xyz.size() * sizeof(float));
+  if (!xyz.empty()) {
+    std::memcpy(xyz.data(), scan.points.points().data(), xyz.size() * sizeof(float));
+  }
   return xyz;
 }
 
@@ -56,8 +58,9 @@ FacadeReference build_facade_reference(const std::vector<data::DatasetScan>& sca
   const auto start = std::chrono::steady_clock::now();
   for (const data::DatasetScan& scan : scans) {
     const geom::Vec3d origin = scan.pose.translation();
-    const Status s = ref.mapper.insert(&scan.points.points().front().x, scan.points.size(),
-                                       Vec3{origin.x, origin.y, origin.z});
+    const auto* xyz = reinterpret_cast<const float*>(scan.points.points().data());
+    const Status s =
+        ref.mapper.insert(xyz, scan.points.size(), Vec3{origin.x, origin.y, origin.z});
     if (!s.ok()) throw std::runtime_error("facade insert failed: " + s.to_string());
   }
   if (Status s = ref.mapper.flush(); !s.ok()) {

@@ -2,27 +2,19 @@
 //
 // A MapperConfig describes a whole mapping session: metric resolution,
 // sensor model, which backend integrates updates (serial octree, the OMU
-// accelerator model, the key-sharded thread pipeline, the tiled
-// out-of-core world map, or the hybrid dense-front write absorber), and
-// the mode-specific knobs grouped into one options struct per backend
-// (ShardedOptions, WorldOptions, HybridOptions, AcceleratorOptions).
-// Mapper::create validates the combination up front and returns an
-// actionable Status::invalid_argument naming the offending field and
-// value — a misconfiguration is told at build time, never via a deep
-// crash later.
+// accelerator model, the tiled out-of-core world map, or the hybrid
+// dense-front write absorber), and the mode-specific knobs grouped into
+// one options struct per backend (WorldOptions, HybridOptions,
+// AcceleratorOptions). Mapper::create validates the combination up front
+// and returns an actionable Status::invalid_argument naming the offending
+// field and value — a misconfiguration is told at build time, never via a
+// deep crash later.
 //
 //   auto mapper = omu::Mapper::create(
 //       omu::MapperConfig()
 //           .resolution(0.2)
-//           .backend(omu::BackendKind::kSharded)
-//           .sharded({.threads = 4}));
-//
-// The pre-0.6 flat setters (threads, queue_depth, world_directory,
-// resident_byte_budget, tile_shift) still compile: they forward into the
-// nested option structs and warn once per process on first use. Mixing a
-// flat setter with its nested group in one config is rejected by
-// validate() — the two spellings of the same knob would silently shadow
-// each other otherwise.
+//           .backend(omu::BackendKind::kTiledWorld)
+//           .world({.directory = "my_world", .resident_byte_budget = 64 << 20}));
 //
 // This header is part of the installed public API and must stay
 // self-contained: it may include only the C++ standard library and other
@@ -35,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "omu/status.hpp"
 #include "omu/telemetry.hpp"
@@ -46,13 +37,15 @@ struct OmuConfig;  // internal accelerator model configuration (src/accel)
 
 namespace omu {
 
-/// Which engine integrates the voxel-update stream.
+/// Which engine integrates the voxel-update stream. The values are pinned:
+/// they travel as one byte on the service wire (SessionSpec), and 2 is
+/// retired (it named a backend that no longer exists), so validate()
+/// rejects it like any other out-of-range value.
 enum class BackendKind {
-  kOctree,      ///< serial software octree (the reference implementation)
-  kAccelerator, ///< cycle-level OMU accelerator model
-  kSharded,     ///< key-sharded parallel pipeline (N threads, private shards)
-  kTiledWorld,  ///< tiled out-of-core world map (disk paging, bounded RAM)
-  kHybrid,      ///< dense scrolling-window write absorber over a back backend
+  kOctree = 0,      ///< serial software octree (the reference implementation)
+  kAccelerator = 1, ///< cycle-level OMU accelerator model
+  kTiledWorld = 3,  ///< tiled out-of-core world map (disk paging, bounded RAM)
+  kHybrid = 4,      ///< dense scrolling-window write absorber over a back backend
 };
 
 /// Short stable name of a backend kind ("octree", "accelerator", ...).
@@ -88,13 +81,6 @@ struct AcceleratorOptions {
   bool reuse_pruned_rows = true;     ///< prune address manager row recycling
 };
 
-/// Options of the key-sharded pipeline (BackendKind::kSharded, or the
-/// back backend of a hybrid session).
-struct ShardedOptions {
-  std::size_t threads = 1;       ///< worker threads / private octree shards
-  std::size_t queue_depth = 64;  ///< per-shard channel capacity in sub-batches
-};
-
 /// Options of the tiled out-of-core world map (BackendKind::kTiledWorld,
 /// or the back backend of a hybrid session).
 struct WorldOptions {
@@ -119,10 +105,10 @@ struct HybridOptions {
   /// voxels are dirty (0 = only at scrolls and explicit flush boundaries,
   /// i.e. a high water of window_voxels^3).
   std::size_t flush_high_water = 0;
-  /// The durable map behind the window. Any kind except kAccelerator
-  /// (its map lives in modeled TreeMem and cannot absorb aggregated
-  /// deltas) and kHybrid (no nesting). Configure it through sharded() /
-  /// world() as usual.
+  /// The durable map behind the window: kOctree or kTiledWorld (the
+  /// accelerator's map lives in modeled TreeMem and cannot absorb
+  /// aggregated deltas; hybrids do not nest). Configure a world back
+  /// through world() as usual.
   BackendKind back_backend = BackendKind::kOctree;
 };
 
@@ -153,19 +139,10 @@ class MapperConfig {
     return *this;
   }
 
-  /// Sharded-pipeline options (kSharded sessions, or hybrid sessions
-  /// whose back_backend is kSharded).
-  MapperConfig& sharded(const ShardedOptions& options) {
-    sharded_ = options;
-    nested_sharded_ = true;
-    return *this;
-  }
-
   /// Tiled-world options (kTiledWorld sessions, or hybrid sessions whose
   /// back_backend is kTiledWorld).
   MapperConfig& world(const WorldOptions& options) {
     world_ = options;
-    nested_world_ = true;
     return *this;
   }
 
@@ -197,28 +174,11 @@ class MapperConfig {
   /// caveat as Mapper's internal_*() accessors.
   MapperConfig& accelerator_config(const accel::OmuConfig& config);
 
-  // ---- Deprecated flat setters (pre-0.6 spelling) ------------------------
-  // Each forwards into its nested options group and warns once per
-  // process on first use; validate() rejects a config that mixes a flat
-  // setter with its nested group. New code: sharded({...}) / world({...}).
-
-  /// \deprecated Use sharded(ShardedOptions{.threads = ...}).
-  MapperConfig& threads(std::size_t count);
-  /// \deprecated Use sharded(ShardedOptions{.queue_depth = ...}).
-  MapperConfig& queue_depth(std::size_t depth);
-  /// \deprecated Use world(WorldOptions{.resident_byte_budget = ...}).
-  MapperConfig& resident_byte_budget(std::size_t bytes);
-  /// \deprecated Use world(WorldOptions{.directory = ...}).
-  MapperConfig& world_directory(std::string directory);
-  /// \deprecated Use world(WorldOptions{.tile_shift = ...}).
-  MapperConfig& tile_shift(int shift);
-
   // ---- Getters -----------------------------------------------------------
 
   double resolution() const { return resolution_; }
   BackendKind backend() const { return backend_; }
   const SensorModel& sensor_model() const { return sensor_model_; }
-  const ShardedOptions& sharded() const { return sharded_; }
   const WorldOptions& world() const { return world_; }
   const HybridOptions& hybrid() const { return hybrid_; }
   const TelemetryOptions& telemetry() const { return telemetry_; }
@@ -226,31 +186,14 @@ class MapperConfig {
   /// Non-null when accelerator_config() was used.
   const accel::OmuConfig* accelerator_config() const { return accel_config_.get(); }
 
-  // Flat convenience getters (read the nested groups; never warn).
-  std::size_t threads() const { return sharded_.threads; }
-  std::size_t queue_depth() const { return sharded_.queue_depth; }
-  std::size_t resident_byte_budget() const { return world_.resident_byte_budget; }
-  const std::string& world_directory() const { return world_.directory; }
-  int tile_shift() const { return world_.tile_shift; }
-
   /// Checks the whole configuration; the returned error names the first
   /// offending field and the value it held. Mapper::create calls this.
   Status validate() const;
 
  private:
-  // Which deprecated flat setters were called (for the mixed-API check).
-  enum LegacyField : uint8_t {
-    kLegacyThreads = 1u << 0,
-    kLegacyQueueDepth = 1u << 1,
-    kLegacyBudget = 1u << 2,
-    kLegacyDirectory = 1u << 3,
-    kLegacyTileShift = 1u << 4,
-  };
-
   double resolution_ = 0.2;
   BackendKind backend_ = BackendKind::kOctree;
   SensorModel sensor_model_{};
-  ShardedOptions sharded_{};
   WorldOptions world_{};
   HybridOptions hybrid_{};
   TelemetryOptions telemetry_{};
@@ -258,10 +201,7 @@ class MapperConfig {
   // shared_ptr so MapperConfig stays copyable with only a forward
   // declaration of the internal type (the control block owns the deleter).
   std::shared_ptr<const accel::OmuConfig> accel_config_;
-  bool nested_sharded_ = false;  ///< sharded({...}) was called
-  bool nested_world_ = false;    ///< world({...}) was called
-  bool hybrid_set_ = false;      ///< hybrid({...}) was called
-  uint8_t legacy_fields_ = 0;    ///< LegacyField bits of flat setters used
+  bool hybrid_set_ = false;  ///< hybrid({...}) was called
 };
 
 }  // namespace omu

@@ -9,14 +9,14 @@
 //               -> save/save_map -> close
 //
 // Internally the facade composes the existing subsystems — the serial
-// octree, the OMU accelerator model, the key-sharded thread pipeline, the
-// tiled out-of-core world map, the hybrid dense-front write absorber
-// (a scrolling voxel window that follows the sensor origin and flushes
-// aggregated per-voxel deltas into a back backend), and the concurrent
-// query/view services —
-// so every combination the config can express routes through one code
-// path, and maps built through the facade are bit-identical to hand-wired
-// sessions of the same backend (tests/facade enforces this).
+// octree, the OMU accelerator model, the tiled out-of-core world map, the
+// hybrid dense-front write absorber (a scrolling voxel window that
+// follows the sensor origin and flushes aggregated per-voxel deltas into
+// a back backend), and the concurrent query/view services — so every
+// combination the config can express routes through one synchronous
+// ingest path and one publication path, and maps built through the
+// facade are bit-identical to hand-wired sessions of the same backend
+// (tests/facade enforces this).
 //
 // Error handling: every fallible call returns Status/Result — no internal
 // exception escapes the facade. Queries on an immutable MapView cannot
@@ -56,9 +56,6 @@ class OccupancyOctree;
 }  // namespace omu::map
 namespace omu::accel {
 class OmuAccelerator;
-}
-namespace omu::pipeline {
-class ShardedMapPipeline;
 }
 namespace omu::world {
 class TiledWorldMap;
@@ -163,9 +160,9 @@ class Mapper {
   /// \deprecated Use insert(rays).
   Status insert_rays(const std::vector<Ray>& rays) { return insert(rays); }
 
-  /// Retires any asynchronous backlog (sharded queues, accelerator
-  /// pipeline, dirty tiles) and publishes a fresh snapshot/view — the
-  /// epoch boundary snapshot() readers observe.
+  /// Retires any pending backlog (accelerator pipeline, absorber window,
+  /// dirty tiles) and publishes a fresh snapshot/view — the epoch
+  /// boundary snapshot() readers observe.
   Status flush();
 
   // ---- Read path ---------------------------------------------------------
@@ -176,8 +173,9 @@ class Mapper {
   Result<MapView> snapshot() const;
 
   /// Classifies a position against the *live* map (reflects updates
-  /// applied so far, which for asynchronous backends may trail the last
-  /// insert until flush()). Concurrent readers should prefer snapshot().
+  /// applied so far, which for the streaming accelerator may trail the
+  /// last insert until flush()). Concurrent readers should prefer
+  /// snapshot().
   Result<Occupancy> classify(const Vec3& position);
 
   // ---- Persistence -------------------------------------------------------
@@ -205,7 +203,7 @@ class Mapper {
   const MapperConfig& config() const;
   BackendKind backend() const;
   /// Backend's human-readable name ("octree", "omu-accelerator",
-  /// "sharded-pipeline[n]", "tiled-world[...]").
+  /// "tiled-world[...]", "hybrid[...]").
   std::string backend_name() const;
   double resolution() const;
 
@@ -239,11 +237,10 @@ class Mapper {
   /// Mode-specific engines; nullptr when the session runs another backend.
   map::OccupancyOctree* internal_octree();
   accel::OmuAccelerator* internal_accelerator();
-  pipeline::ShardedMapPipeline* internal_pipeline();
   world::TiledWorldMap* internal_world();
   /// The hybrid write absorber (kHybrid sessions). The back backend is
   /// still reachable through the engine accessors above (e.g.
-  /// internal_pipeline() for a hybrid-over-sharded session).
+  /// internal_world() for a hybrid-over-world session).
   localgrid::HybridMapBackend* internal_hybrid();
   /// The snapshot publication service (non-world sessions; nullptr for
   /// kTiledWorld, whose views publish through its internal view service).

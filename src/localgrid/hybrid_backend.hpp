@@ -4,14 +4,14 @@
 // High-rate updates near the sensor land in the dense window at array
 // speed; everything the window does not cover passes straight through to
 // the back backend. Aggregated per-voxel deltas flush into the back —
-// octree, sharded pipeline or tiled world, all through
+// octree or tiled world, both through
 // MapBackend::apply_aggregated — when the window scrolls (follow()), on an
 // explicit flush()/snapshot export, or when the dirty-voxel high-water
 // mark trips. This is the dense-front/sparse-back architecture of OHM and
 // the OpenVDB mapping pipeline, and the software shape of the paper's
 // "absorb fast, integrate lazily" update path.
 //
-// Bit-identity contract (tests/localgrid/ prove it across all three back
+// Bit-identity contract (tests/localgrid/ prove it across both back
 // ends, randomized churn included): after flush(), every query, snapshot
 // and serialized map is bit-identical to feeding the same update stream
 // directly into the back backend. The pieces: per-voxel update order is
@@ -19,9 +19,9 @@
 // and a scroll evicts a departing voxel's aggregate before any later
 // update can pass it through); the aggregate itself replays exactly
 // (aggregated_delta.hpp); the flush order is deterministic (ascending
-// packed key); and apply_aggregated drains asynchronous back ends first.
+// packed key); and the back applies each aggregate synchronously.
 //
-// Unknown-window semantics: like every asynchronous backend in this repo,
+// Unknown-window semantics: like the streaming accelerator backend,
 // the live read surface (classify, leaves_sorted, content_hash,
 // export_snapshot_data) reflects only what has reached the back — content
 // still absorbed in the window is invisible until the next flush

@@ -4,14 +4,14 @@
 // Stage 3 of the scan-ingest pipeline dispatches UpdateBatches to a
 // MapBackend; today's implementations are the serial software octree
 // (OctreeBackend below), the OMU accelerator model
-// (accel::AcceleratorBackend) and the key-sharded thread pipeline
-// (pipeline::ShardedMapPipeline). All of them integrate the same batches
-// and export the same canonical leaf records, so maps built on any backend
-// can be compared bit for bit — the property every equivalence suite in
-// tests/ leans on.
+// (accel::AcceleratorBackend), the tiled world map (world::TiledWorldMap)
+// and the hybrid write absorber (localgrid::HybridMapBackend). All of them
+// integrate the same batches and export the same canonical leaf records,
+// so maps built on any backend can be compared bit for bit — the property
+// every equivalence suite in tests/ leans on.
 //
-// apply() may be asynchronous (the accelerator streams, the pipeline
-// queues); flush() is the barrier that retires any backlog. classify() and
+// apply() may be deferred (the accelerator streams, the hybrid window
+// absorbs); flush() is the barrier that retires any backlog. classify() and
 // the leaf exports reflect the updates applied so far — call flush() first
 // when an exact point-in-time snapshot is needed.
 #pragma once
@@ -112,10 +112,9 @@ class MapBackend {
 
   /// Snapshot export hook: the canonical leaf list plus query parameters,
   /// the input of query::MapSnapshot::build. Reflects the updates applied
-  /// so far — flush() first for a point-in-time snapshot. Asynchronous
-  /// backends whose leaf export is not safe against a concurrent apply()
-  /// may override (the sharded pipeline locks its shards; the default just
-  /// composes the virtuals above).
+  /// so far — flush() first for a point-in-time snapshot. Backends with a
+  /// cheaper native export may override (the default just composes the
+  /// virtuals above).
   virtual MapSnapshotData export_snapshot_data() const {
     return MapSnapshotData{leaves_sorted(), coder().resolution(), occupancy_params()};
   }

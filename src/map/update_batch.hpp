@@ -1,7 +1,7 @@
 // The unit of work flowing out of ray casting.
 //
-// Every ingest path — the software octree, the sharded pipeline and the
-// accelerator model — consumes the same batches of voxel updates, so a
+// Every ingest path — the software octree, the tiled world, the hybrid
+// absorber and the accelerator model — consumes the same batches of voxel updates, so a
 // scan ray-cast once can be applied to any number of backends and the
 // resulting maps compared bit for bit. A batch owns its storage and is
 // meant to be reused scan over scan (clear() keeps capacity, reserve-once

@@ -1,14 +1,10 @@
 // MapperConfig validation: every rejection names the offending field and
 // the value it held, so a misconfigured session is diagnosed at build
-// time instead of via a deep crash in a subsystem. Also home of the
-// deprecated flat setters — non-inline so each can warn exactly once per
-// process before forwarding into its nested options group.
+// time instead of via a deep crash in a subsystem.
 #include "omu/config.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "accel/omu_config.hpp"
@@ -26,13 +22,23 @@ std::string fmt(T value) {
   return os.str();
 }
 
-void warn_deprecated(std::once_flag& flag, const char* old_setter, const char* replacement) {
-  std::call_once(flag, [&] {
-    std::fprintf(stderr,
-                 "omu: MapperConfig::%s is deprecated; use MapperConfig::%s "
-                 "(this warning prints once per process)\n",
-                 old_setter, replacement);
-  });
+/// True for the current BackendKind enumerators. A kind cast from a wire
+/// byte or an integer can hold anything, including the retired value 2.
+bool is_backend_kind(BackendKind kind) {
+  switch (kind) {
+    case BackendKind::kOctree:
+    case BackendKind::kAccelerator:
+    case BackendKind::kTiledWorld:
+    case BackendKind::kHybrid: return true;
+  }
+  return false;
+}
+
+/// "backend: 7 is not a backend kind ..." for an out-of-range kind.
+Status unknown_kind(const std::string& field, BackendKind kind) {
+  return Status::invalid_argument(
+      field + ": " + fmt(static_cast<int>(kind)) +
+      " is not a backend kind (expected kOctree=0, kAccelerator=1, kTiledWorld=3 or kHybrid=4)");
 }
 
 bool is_power_of_two(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
@@ -66,7 +72,6 @@ const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kOctree: return "octree";
     case BackendKind::kAccelerator: return "accelerator";
-    case BackendKind::kSharded: return "sharded";
     case BackendKind::kTiledWorld: return "tiled-world";
     case BackendKind::kHybrid: return "hybrid";
   }
@@ -78,79 +83,12 @@ MapperConfig& MapperConfig::accelerator_config(const accel::OmuConfig& config) {
   return *this;
 }
 
-// ---- Deprecated flat setters ------------------------------------------------
-
-MapperConfig& MapperConfig::threads(std::size_t count) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "threads()", "sharded(ShardedOptions{.threads = ...})");
-  sharded_.threads = count;
-  legacy_fields_ |= kLegacyThreads;
-  return *this;
-}
-
-MapperConfig& MapperConfig::queue_depth(std::size_t depth) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "queue_depth()", "sharded(ShardedOptions{.queue_depth = ...})");
-  sharded_.queue_depth = depth;
-  legacy_fields_ |= kLegacyQueueDepth;
-  return *this;
-}
-
-MapperConfig& MapperConfig::resident_byte_budget(std::size_t bytes) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "resident_byte_budget()",
-                  "world(WorldOptions{.resident_byte_budget = ...})");
-  world_.resident_byte_budget = bytes;
-  legacy_fields_ |= kLegacyBudget;
-  return *this;
-}
-
-MapperConfig& MapperConfig::world_directory(std::string directory) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "world_directory()", "world(WorldOptions{.directory = ...})");
-  world_.directory = std::move(directory);
-  legacy_fields_ |= kLegacyDirectory;
-  return *this;
-}
-
-MapperConfig& MapperConfig::tile_shift(int shift) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "tile_shift()", "world(WorldOptions{.tile_shift = ...})");
-  world_.tile_shift = shift;
-  legacy_fields_ |= kLegacyTileShift;
-  return *this;
-}
-
 // ---- Validation -------------------------------------------------------------
 
 Status MapperConfig::validate() const {
-  // Mixed-API detection first: when both spellings of a knob were used,
-  // whichever was called last silently won, so the stored value cannot be
-  // trusted to mean what the caller intended.
-  if (nested_sharded_ && (legacy_fields_ & (kLegacyThreads | kLegacyQueueDepth))) {
-    const bool is_threads = (legacy_fields_ & kLegacyThreads) != 0;
-    const std::string field = is_threads ? "threads" : "queue_depth";
-    const std::string value = is_threads ? fmt(sharded_.threads) : fmt(sharded_.queue_depth);
-    return Status::invalid_argument(
-        field + ": the deprecated flat setter (currently " + value +
-        ") was mixed with sharded(ShardedOptions{...}) in one config; set "
-        "ShardedOptions::" + field + " only");
-  }
-  if (nested_world_ &&
-      (legacy_fields_ & (kLegacyBudget | kLegacyDirectory | kLegacyTileShift))) {
-    std::string field = "resident_byte_budget";
-    std::string value = fmt(world_.resident_byte_budget);
-    if (legacy_fields_ & kLegacyDirectory) {
-      field = "world_directory";
-      value = "\"" + world_.directory + "\"";
-    } else if (legacy_fields_ & kLegacyTileShift) {
-      field = "tile_shift";
-      value = fmt(world_.tile_shift);
-    }
-    return Status::invalid_argument(
-        field + ": the deprecated flat setter (currently " + value +
-        ") was mixed with world(WorldOptions{...}) in one config; set the "
-        "WorldOptions field only");
+  if (!is_backend_kind(backend_)) return unknown_kind("backend", backend_);
+  if (!is_backend_kind(hybrid_.back_backend)) {
+    return unknown_kind("hybrid.back_backend", hybrid_.back_backend);
   }
 
   if (!(resolution_ > 0.0) || !std::isfinite(resolution_)) {
@@ -180,23 +118,6 @@ Status MapperConfig::validate() const {
   // for hybrid, the back backend's knobs apply.
   const bool is_hybrid = backend_ == BackendKind::kHybrid;
   const BackendKind effective = is_hybrid ? hybrid_.back_backend : backend_;
-
-  if (sharded_.threads == 0) {
-    return Status::invalid_argument(
-        "sharded.threads: must be >= 1, got 0 (use 1 for a single-worker session)");
-  }
-  if (sharded_.threads > 1 && effective != BackendKind::kSharded) {
-    return Status::invalid_argument(
-        "sharded.threads: " + fmt(sharded_.threads) +
-        " worker threads require backend(BackendKind::kSharded)" +
-        (is_hybrid ? std::string(" behind the hybrid window (HybridOptions::back_backend)")
-                   : std::string()) +
-        "; the " + std::string(to_string(effective)) +
-        " backend integrates on the calling thread");
-  }
-  if (sharded_.queue_depth == 0) {
-    return Status::invalid_argument("sharded.queue_depth: must be >= 1 sub-batches, got 0");
-  }
 
   const bool wants_world = !world_.directory.empty() || world_.resident_byte_budget > 0;
   if (wants_world && effective != BackendKind::kTiledWorld) {
@@ -245,7 +166,7 @@ Status MapperConfig::validate() const {
     if (hybrid_.back_backend == BackendKind::kHybrid) {
       return Status::invalid_argument(
           "hybrid.back_backend: kHybrid cannot nest inside itself; pick the durable map kind "
-          "(kOctree, kSharded or kTiledWorld)");
+          "(kOctree or kTiledWorld)");
     }
     if (!is_power_of_two(hybrid_.window_voxels) || hybrid_.window_voxels < 2 ||
         hybrid_.window_voxels > 256) {

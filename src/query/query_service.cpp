@@ -67,7 +67,8 @@ uint64_t QueryService::publish(map::MapSnapshotData data) {
   delta.resolution = data.resolution;
   delta.params = data.params;
   delta.generation = 0;
-  return publish_delta(std::move(delta), nullptr);
+  std::lock_guard lock(publish_mutex_);
+  return publish_delta_locked(std::move(delta), nullptr);
 }
 
 void QueryService::set_telemetry(obs::Telemetry* telemetry) {
@@ -87,16 +88,6 @@ uint64_t QueryService::refresh_from(map::MapBackend& backend) {
   obs::TraceSpan span(refresh_ns_, journal_, "publish.refresh");
   const uint64_t since = delta_source_ == &backend ? delta_generation_ : 0;
   return publish_delta_locked(backend.export_snapshot_delta(since), &backend);
-}
-
-uint64_t QueryService::publish_delta(map::MapSnapshotDelta delta, const void* source) {
-  std::lock_guard lock(publish_mutex_);
-  return publish_delta_locked(std::move(delta), source);
-}
-
-uint64_t QueryService::delta_since(const void* source) const {
-  std::lock_guard lock(publish_mutex_);
-  return delta_source_ == source ? delta_generation_ : 0;
 }
 
 SnapshotPublishStats QueryService::publish_stats() const {
@@ -119,9 +110,10 @@ uint64_t QueryService::publish_delta_locked(map::MapSnapshotDelta delta, const v
   std::shared_ptr<const MapSnapshot> next;
   if (delta.full || delta_source_ != source || !delta_base_) {
     if (!delta.full) {
-      // delta_since(source) returns 0 without a pairing, which forces the
-      // backend to answer full — an incremental delta here is a caller bug.
-      throw std::logic_error("QueryService::publish_delta: incremental delta without a base");
+      // refresh_from asks for since_generation 0 without a pairing, which
+      // forces the backend to answer full — an incremental delta here is a
+      // backend bug.
+      throw std::logic_error("QueryService: incremental delta without a base");
     }
     obs::TraceSpan span(build_ns_, journal_, "publish.build");
     next = MapSnapshot::build(

@@ -97,12 +97,13 @@ class QueryService {
   }
 
   // ---- Write path (publishers serialize on a writer mutex) --------------
+  // publish and refresh_from are the whole write path.
 
   /// Builds a snapshot from exported data and publishes it under the next
   /// epoch. Returns that epoch. The build runs outside the reader-visible
   /// swap mutex; only the pointer swap itself excludes readers. Always a
-  /// full rebuild — prefer refresh_from / publish_delta, which splice
-  /// unchanged chunks from the previous epoch.
+  /// full rebuild — prefer refresh_from, which splices unchanged chunks
+  /// from the previous epoch.
   uint64_t publish(map::MapSnapshotData data);
 
   /// Flushes the backend and publishes its changes since this service's
@@ -112,26 +113,7 @@ class QueryService {
   /// snapshot, and its epoch is returned. Falls back to a full rebuild on
   /// the first refresh, on a source change, and whenever the backend
   /// reports it (whole-tree mutations, collapsed root, no tracking).
-  /// Don't combine with ShardedMapPipeline::attach_query_service on the
-  /// same backend — its flush() already publishes. Pick one publication
-  /// path: attach (publish every flush) or refresh_from (publish on the
-  /// caller's schedule).
   uint64_t refresh_from(map::MapBackend& backend);
-
-  /// Publishes a delta the caller exported itself (the sharded pipeline
-  /// brackets its export with routing-stability re-checks before handing
-  /// it over). `source` identifies the exporter: an incremental delta is
-  /// spliced onto the snapshot built from that source's previous delta.
-  /// Obtain since_generation for the export via delta_since(source).
-  /// Returns the published epoch (or the current epoch for an empty
-  /// incremental delta, which publishes nothing).
-  uint64_t publish_delta(map::MapSnapshotDelta delta, const void* source);
-
-  /// The since_generation to pass to MapBackend::export_snapshot_delta so
-  /// the result can be spliced by publish_delta(…, source): the generation
-  /// of that source's last published delta, or 0 (forcing a full export)
-  /// when the service has no splice base from it.
-  uint64_t delta_since(const void* source) const;
 
   // ---- Introspection -----------------------------------------------------
 
@@ -171,6 +153,11 @@ class QueryService {
 
   void swap_in(std::shared_ptr<const MapSnapshot> next);
 
+  /// Publishes `delta` exported by `source` (nullptr = anonymous, always
+  /// full): an incremental delta is spliced onto the snapshot built from
+  /// that source's previous delta. Returns the published epoch, or the
+  /// current one for an empty incremental delta, which publishes nothing.
+  /// Caller holds publish_mutex_.
   uint64_t publish_delta_locked(map::MapSnapshotDelta delta, const void* source);
 
   std::shared_ptr<const MapSnapshot> current_;  ///< guarded by swap_mutex_

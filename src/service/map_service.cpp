@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "map/occupancy_octree.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/map_snapshot.hpp"
 #include "query/query_service.hpp"
 #include "service/telemetry_rollup.hpp"
@@ -105,7 +104,6 @@ MapService::MapService(ServiceConfig config)
   admitted_inserts_ = telemetry_.counter("service.inserts_admitted");
   rejected_rate_ = telemetry_.counter("service.inserts_rejected_rate");
   rejected_bytes_ = telemetry_.counter("service.inserts_rejected_bytes");
-  rejected_backpressure_ = telemetry_.counter("service.inserts_rejected_backpressure");
   rejected_invalid_ = telemetry_.counter("service.inserts_rejected_invalid");
   rejected_sessions_ = telemetry_.counter("service.sessions_rejected");
   delta_events_ = telemetry_.counter("service.delta_events");
@@ -331,7 +329,7 @@ void MapService::register_session(const std::shared_ptr<Connection>& conn, const
   if (world::TiledWorldMap* world = session->mapper->internal_world()) {
     // Join the shared paging budget whenever there is something to govern
     // or account: a service-wide cap, or a tenant byte quota.
-    const std::string& directory = session->mapper->config().world_directory();
+    const std::string& directory = session->mapper->config().world().directory;
     if (!directory.empty() &&
         (cfg_.shared_resident_byte_budget > 0 || quota.max_resident_bytes > 0)) {
       world->attach_budget_arbiter(&arbiter_,
@@ -403,20 +401,6 @@ WireStatus MapService::admit_insert(Session& session, std::size_t points) {
               "tenant '" + session.tenant + "' holds " + std::to_string(resident) +
               " resident bytes, over its quota of " +
               std::to_string(quota.max_resident_bytes) + "; retry after eviction"),
-          cfg_.retry_after_ms);
-    }
-  }
-  if (pipeline::ShardedMapPipeline* pipeline = session.mapper->internal_pipeline()) {
-    // Reject instead of blocking the connection thread on a full shard
-    // queue — the tenant retries; other tenants' RPCs keep flowing.
-    if (pipeline->max_queue_depth() >= session.mapper->config().queue_depth()) {
-      rejected_backpressure_->add();
-      return WireStatus::from(
-          omu::Status::resource_exhausted(
-              "session " + std::to_string(session.id) +
-              " shard queues are full (depth " +
-              std::to_string(session.mapper->config().queue_depth()) +
-              "); retry shortly or flush"),
           cfg_.retry_after_ms);
     }
   }

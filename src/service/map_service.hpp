@@ -27,9 +27,7 @@
 //     violations are kResourceExhausted with retry_after_ms telling the
 //     tenant when the bucket will have refilled enough;
 //   - max_resident_bytes     -> the tenant's world-backed sessions' bytes
-//     (from the arbiter's accounting) must fit its quota;
-//   - shard queue back-pressure -> a sharded session whose deepest queue
-//     is at capacity rejects instead of blocking the connection thread.
+//     (from the arbiter's accounting) must fit its quota.
 // Rejections never tear down the connection or the session: the client
 // retries after retry_after_ms and the stream continues.
 //
@@ -69,7 +67,7 @@ struct ServiceConfig {
   /// Concurrent open sessions (0 = unlimited); violations reject creates
   /// with kResourceExhausted.
   std::size_t max_sessions = 0;
-  /// The retry hint attached to back-pressure and byte-quota rejections
+  /// The retry hint attached to session-limit and byte-quota rejections
   /// (rate rejections compute their own from the token deficit).
   uint32_t retry_after_ms = 50;
   /// The service's own telemetry (the "service.*" metric group).
@@ -184,7 +182,6 @@ class MapService {
   obs::Counter* admitted_inserts_ = nullptr;
   obs::Counter* rejected_rate_ = nullptr;
   obs::Counter* rejected_bytes_ = nullptr;
-  obs::Counter* rejected_backpressure_ = nullptr;
   obs::Counter* rejected_invalid_ = nullptr;
   obs::Counter* rejected_sessions_ = nullptr;
   obs::Counter* delta_events_ = nullptr;

@@ -43,7 +43,8 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr uint32_t kWireMagic = 0x4F4D5557;  // "OMUW" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+/// 2: CreateSession dropped the retired sharded backend's two u32 fields.
+inline constexpr uint16_t kWireVersion = 2;
 /// magic + version + type + request_id + payload_len.
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Hard payload bound; a header announcing more is corruption, not a

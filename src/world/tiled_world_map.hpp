@@ -10,9 +10,9 @@
 // has. This is the chunk/region paging route OpenVDB-based global mapping
 // and OHM take, layered over this repo's backends.
 //
-// It *is* a map::MapBackend: ScanInserter drives it directly, and a ray's
-// update batch is split per tile at the same key-sharding layer the
-// branch-sharded pipeline routes through (pipeline/batch_router.hpp).
+// It *is* a map::MapBackend: ScanInserter drives it directly, and each
+// update batch is split per tile in arrival order before it reaches the
+// tile backends.
 //
 // Equivalence contract (tests/world enforce it): replaying a scan stream
 // through a TiledWorldMap — including under forced eviction — yields
@@ -31,9 +31,9 @@
 // into a WorldQueryView (evicted tiles are loaded on demand — a cached
 // snapshot is reused when the tile hasn't changed since, which an evicted
 // tile by definition hasn't). attach_view_service() publishes a fresh
-// view at every flush() boundary for concurrent readers, mirroring
-// ShardedMapPipeline::attach_query_service. View/snapshot memory is
-// read-side and deliberately outside the pager's resident-tile budget.
+// view at every flush() boundary for concurrent readers. View/snapshot
+// memory is read-side and deliberately outside the pager's resident-tile
+// budget.
 //
 // Thread safety: all backend methods and capture/save serialize on an
 // internal mutex (one writer plus occasional maintenance callers);
@@ -52,7 +52,6 @@
 #include "map/backend_factory.hpp"
 #include "map/map_backend.hpp"
 #include "map/phase_stats.hpp"
-#include "pipeline/batch_router.hpp"
 #include "world/budget_arbiter.hpp"
 #include "world/tile_grid.hpp"
 #include "world/tile_pager.hpp"

@@ -25,6 +25,13 @@ struct ParamCase {
   float threshold;
 };
 
+// Without this gtest prints the raw object bytes, `name` pointer included,
+// so the discovered test names would change with every ASLR load address.
+void PrintTo(const ParamCase& pc, std::ostream* os) {
+  *os << "{log_hit=" << pc.log_hit << ", log_miss=" << pc.log_miss << ", clamp=[" << pc.clamp_min
+      << ", " << pc.clamp_max << "], threshold=" << pc.threshold << "}";
+}
+
 class ParamEquivalence : public ::testing::TestWithParam<ParamCase> {};
 
 TEST_P(ParamEquivalence, MapsAgreeBitExactly) {

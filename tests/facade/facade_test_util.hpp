@@ -41,7 +41,7 @@ inline void stream_into(map::MapBackend& backend, const std::vector<SweepScan>& 
 }
 
 /// The default facade test stream: crosses several 6.4 m tiles and
-/// revisits them (exercises sharding and paging alike).
+/// revisits them (exercises tiling and paging alike).
 inline const std::vector<SweepScan>& test_scans() {
   static const std::vector<SweepScan> scans = make_sweep_scans(/*seed=*/7, /*scans=*/12,
                                                                /*points_per_scan=*/300);

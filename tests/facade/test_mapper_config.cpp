@@ -44,20 +44,18 @@ TEST(MapperConfigValidation, RejectsNonPositiveResolution) {
                   {"resolution"});
 }
 
-TEST(MapperConfigValidation, RejectsZeroThreads) {
-  EXPECT_EQ(expect_rejected(MapperConfig().threads(0), {"threads", "0"}).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MapperConfigValidation, RejectsThreadsOnNonShardedBackend) {
-  expect_rejected(MapperConfig().threads(7), {"threads", "7", "kSharded", "octree"});
-  expect_rejected(MapperConfig().backend(BackendKind::kAccelerator).threads(2),
-                  {"threads", "2", "accelerator"});
-}
-
-TEST(MapperConfigValidation, RejectsZeroQueueDepth) {
-  expect_rejected(MapperConfig().backend(BackendKind::kSharded).queue_depth(0),
-                  {"queue_depth", "0"});
+TEST(MapperConfigValidation, RejectsOutOfRangeBackendKind) {
+  // Kinds cast from integers (or wire bytes) can hold any value: 2 is the
+  // retired sharded kind. Each must be rejected by name, never crash.
+  for (const int kind : {2, 5, 7, 255, -1}) {
+    const std::string value = std::to_string(kind);
+    const Status s = expect_rejected(MapperConfig().backend(static_cast<BackendKind>(kind)),
+                                     {"backend", value.c_str()});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    expect_rejected(MapperConfig().backend(BackendKind::kHybrid).hybrid(
+                        {.back_backend = static_cast<BackendKind>(kind)}),
+                    {"hybrid.back_backend", value.c_str()});
+  }
 }
 
 TEST(MapperConfigValidation, RejectsWorldPagingOnAccelerator) {
@@ -70,14 +68,14 @@ TEST(MapperConfigValidation, RejectsWorldPagingOnAccelerator) {
       {"world.resident_byte_budget", "1048576", "accelerator"});
 }
 
-TEST(MapperConfigValidation, RejectsWorldFieldsOnOctreeAndSharded) {
+TEST(MapperConfigValidation, RejectsWorldFieldsOffTheWorldBackend) {
   expect_rejected(MapperConfig().world({.directory = "w"}),
                   {"world.directory", "w", "kTiledWorld"});
   expect_rejected(MapperConfig()
-                      .backend(BackendKind::kSharded)
-                      .sharded({.threads = 2})
+                      .backend(BackendKind::kHybrid)
+                      .hybrid({.back_backend = BackendKind::kOctree})
                       .world({.resident_byte_budget = 64}),
-                  {"world.resident_byte_budget", "64", "sharded"});
+                  {"world.resident_byte_budget", "64", "octree"});
 }
 
 TEST(MapperConfigValidation, RejectsBudgetWithoutWorldDirectory) {
@@ -137,58 +135,12 @@ TEST(MapperConfigValidation, RejectsUnquantizedSensorModelUnderHybrid) {
                   {"sensor_model.quantized", "kHybrid"});
 }
 
-// ---- Deprecated flat setters: forward, but never silently mix ---------------
-
-TEST(MapperConfigValidation, RejectsFlatSetterMixedWithNestedSharded) {
-  const Status s = expect_rejected(MapperConfig()
-                                       .backend(BackendKind::kSharded)
-                                       .sharded({.threads = 4})
-                                       .threads(2),
-                                   {"threads", "2", "ShardedOptions"});
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kSharded)
-                      .queue_depth(8)
-                      .sharded({.threads = 2}),
-                  {"queue_depth", "ShardedOptions"});
-}
-
-TEST(MapperConfigValidation, RejectsFlatSetterMixedWithNestedWorld) {
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kTiledWorld)
-                      .world({.directory = "w"})
-                      .tile_shift(5),
-                  {"tile_shift", "5", "WorldOptions"});
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kTiledWorld)
-                      .world_directory("w")
-                      .world({.tile_shift = 6}),
-                  {"world_directory", "WorldOptions"});
-}
-
-TEST(MapperConfigValidation, DeprecatedFlatSettersStillForward) {
-  const MapperConfig cfg =
-      MapperConfig().backend(BackendKind::kSharded).threads(4).queue_depth(32);
-  EXPECT_TRUE(cfg.validate().ok()) << cfg.validate();
-  EXPECT_EQ(cfg.sharded().threads, 4u);
-  EXPECT_EQ(cfg.sharded().queue_depth, 32u);
-  const MapperConfig world_cfg = MapperConfig()
-                                     .backend(BackendKind::kTiledWorld)
-                                     .world_directory("legacy_dir")
-                                     .tile_shift(5)
-                                     .resident_byte_budget(1 << 16);
-  EXPECT_TRUE(world_cfg.validate().ok()) << world_cfg.validate();
-  EXPECT_EQ(world_cfg.world().directory, "legacy_dir");
-  EXPECT_EQ(world_cfg.world().tile_shift, 5);
-  EXPECT_EQ(world_cfg.world().resident_byte_budget, std::size_t{1} << 16);
-}
-
 TEST(MapperConfigValidation, RejectsAcceleratorOptionsOnOtherBackends) {
   expect_rejected(MapperConfig().accelerator(AcceleratorOptions{}),
                   {"accelerator", "octree", "kAccelerator"});
   accel::OmuConfig cfg;
-  expect_rejected(MapperConfig().backend(BackendKind::kSharded).accelerator_config(cfg),
-                  {"accelerator_config", "sharded"});
+  expect_rejected(MapperConfig().backend(BackendKind::kTiledWorld).accelerator_config(cfg),
+                  {"accelerator_config", "tiled-world"});
 }
 
 TEST(MapperConfigValidation, RejectsMalformedAcceleratorShape) {
@@ -232,8 +184,6 @@ TEST(MapperConfigValidation, RejectsMalformedSensorModel) {
 
 TEST(MapperConfigValidation, AcceptsEveryBackendKindWhenWellFormed) {
   EXPECT_TRUE(MapperConfig().validate().ok());
-  EXPECT_TRUE(
-      MapperConfig().backend(BackendKind::kSharded).sharded({.threads = 4}).validate().ok());
   EXPECT_TRUE(MapperConfig()
                   .backend(BackendKind::kAccelerator)
                   .accelerator(AcceleratorOptions{})
@@ -251,8 +201,7 @@ TEST(MapperConfigValidation, AcceptsEveryBackendKindWhenWellFormed) {
                   .backend(BackendKind::kHybrid)
                   .hybrid({.window_voxels = 32,
                            .flush_high_water = 4096,
-                           .back_backend = BackendKind::kSharded})
-                  .sharded({.threads = 4})
+                           .back_backend = BackendKind::kOctree})
                   .validate()
                   .ok());
   EXPECT_TRUE(MapperConfig()
@@ -292,8 +241,8 @@ TEST(MapperConfigValidation, OpenCorruptManifestFailsCleanly) {
 
 TEST(MapperConfigValidation, CreateOverExistingWorldIsFailedPrecondition) {
   TempDir dir("facade_create_shadow");
-  const MapperConfig cfg =
-      MapperConfig().backend(BackendKind::kTiledWorld).tile_shift(5).world_directory(dir.path());
+  const MapperConfig cfg = MapperConfig().backend(BackendKind::kTiledWorld).world(
+      {.directory = dir.path(), .tile_shift = 5});
   {
     Result<Mapper> first = Mapper::create(cfg);
     ASSERT_TRUE(first.ok()) << first.status();

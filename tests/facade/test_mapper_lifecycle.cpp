@@ -123,13 +123,13 @@ TEST(MapperLifecycle, SaveMapRoundTripsOnFileBackends) {
   ASSERT_TRUE(reloaded.has_value());
   EXPECT_EQ(reloaded->content_hash(), octree.content_hash().value());
 
-  // The sharded session's merged export writes the identical file content.
-  Mapper sharded =
-      Mapper::create(MapperConfig().backend(BackendKind::kSharded).threads(3)).value();
-  stream_into(sharded, test_scans());
-  const std::string sharded_path = dir.path() + "/sharded.omap";
-  ASSERT_TRUE(sharded.save_map(sharded_path).ok());
-  EXPECT_EQ(map::OctreeIo::read_file(sharded_path)->content_hash(),
+  // The accelerator session's TreeMem readback writes the identical file
+  // content.
+  Mapper accelerator = Mapper::create(MapperConfig().backend(BackendKind::kAccelerator)).value();
+  stream_into(accelerator, test_scans());
+  const std::string accelerator_path = dir.path() + "/accelerator.omap";
+  ASSERT_TRUE(accelerator.save_map(accelerator_path).ok());
+  EXPECT_EQ(map::OctreeIo::read_file(accelerator_path)->content_hash(),
             octree.content_hash().value());
 }
 
@@ -143,8 +143,7 @@ TEST(MapperLifecycle, SaveAndSaveMapAreModeChecked) {
 
   Mapper world = Mapper::create(MapperConfig()
                                     .backend(BackendKind::kTiledWorld)
-                                    .tile_shift(5)
-                                    .world_directory(dir.path()))
+                                    .world({.directory = dir.path(), .tile_shift = 5}))
                      .value();
   const Status save_map = world.save_map(dir.path() + "/m.omap");
   EXPECT_EQ(save_map.code(), StatusCode::kFailedPrecondition);
@@ -152,11 +151,12 @@ TEST(MapperLifecycle, SaveAndSaveMapAreModeChecked) {
 
   // A purely in-memory world (valid config) has no persistence path; both
   // save flavours must say why and name the missing config field.
-  Mapper in_memory =
-      Mapper::create(MapperConfig().backend(BackendKind::kTiledWorld).tile_shift(5)).value();
+  Mapper in_memory = Mapper::create(MapperConfig().backend(BackendKind::kTiledWorld).world(
+                                        {.tile_shift = 5}))
+                         .value();
   const Status mem_save = in_memory.save();
   EXPECT_EQ(mem_save.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(mem_save.message().find("world_directory"), std::string::npos) << mem_save;
+  EXPECT_NE(mem_save.message().find("world.directory"), std::string::npos) << mem_save;
   EXPECT_EQ(in_memory.save_map(dir.path() + "/m2.omap").code(),
             StatusCode::kFailedPrecondition);
 }
@@ -167,8 +167,7 @@ TEST(MapperLifecycle, WorldSaveOpenRoundTripAndResume) {
   {
     Mapper world = Mapper::create(MapperConfig()
                                       .backend(BackendKind::kTiledWorld)
-                                      .tile_shift(5)
-                                      .world_directory(dir.path()))
+                                      .world({.directory = dir.path(), .tile_shift = 5}))
                        .value();
     stream_into(world, test_scans());
     ASSERT_TRUE(world.flush().ok());
@@ -179,7 +178,7 @@ TEST(MapperLifecycle, WorldSaveOpenRoundTripAndResume) {
 
   Mapper reopened = Mapper::open(dir.path()).value();
   EXPECT_EQ(reopened.backend(), BackendKind::kTiledWorld);
-  EXPECT_EQ(reopened.config().tile_shift(), 5);
+  EXPECT_EQ(reopened.config().world().tile_shift, 5);
   EXPECT_EQ(reopened.content_hash().value(), saved_hash);
 
   // The reopened session keeps mapping: integrate the stream again and the
@@ -203,9 +202,8 @@ TEST(MapperLifecycle, OpenRestoresCallerSuppliedRayPolicy) {
   {
     Mapper world = Mapper::create(MapperConfig()
                                       .backend(BackendKind::kTiledWorld)
-                                      .tile_shift(5)
                                       .sensor_model(sm)
-                                      .world_directory(dir.path()))
+                                      .world({.directory = dir.path(), .tile_shift = 5}))
                        .value();
     for (std::size_t i = 0; i < half; ++i) {
       ASSERT_TRUE(facade_testing::insert_cloud(world, scans[i].points, scans[i].origin).ok());
@@ -223,7 +221,7 @@ TEST(MapperLifecycle, OpenRestoresCallerSuppliedRayPolicy) {
   // Session B: the same stream through a never-closed session.
   Mapper straight = Mapper::create(MapperConfig()
                                        .backend(BackendKind::kTiledWorld)
-                                       .tile_shift(5)
+                                       .world({.tile_shift = 5})
                                        .sensor_model(sm))
                         .value();
   stream_into(straight, scans);

@@ -1,7 +1,7 @@
 // MetricRegistry / Histogram unit tests: bucket boundary placement,
 // quantile estimation error bounds against a sorted reference on
-// randomized samples, elementwise snapshot merging (the per-shard
-// aggregation primitive), and registry get-or-create semantics.
+// randomized samples, elementwise snapshot merging (the per-session
+// rollup primitive), and registry get-or-create semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,9 +165,9 @@ TEST(ObsRegistry, GetOrCreateReturnsStablePointers) {
   c1->add(3);
   EXPECT_EQ(c2->value(), 3u);
 
-  Gauge* g = registry.gauge("pipeline.shard0.queue_depth");
+  Gauge* g = registry.gauge("service.sessions");
   g->set(-5);
-  EXPECT_EQ(registry.gauge("pipeline.shard0.queue_depth")->value(), -5);
+  EXPECT_EQ(registry.gauge("service.sessions")->value(), -5);
 
   Histogram* h = registry.histogram("ingest.insert_ns");
   h->record(9);

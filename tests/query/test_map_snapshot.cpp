@@ -9,8 +9,8 @@
 #include <algorithm>
 
 #include "geom/rng.hpp"
+#include "localgrid/hybrid_backend.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 
 namespace omu::query {
 namespace {
@@ -108,12 +108,16 @@ TEST(MapSnapshot, BuildAcceptsUnsortedLeafList) {
 }
 
 TEST(MapSnapshot, CaptureFlushesAsynchronousBackends) {
-  // capture() must see every routed update, even without an explicit
-  // flush() by the caller.
-  pipeline::ShardedMapPipeline pipeline;
+  // capture() must see every absorbed update, even without an explicit
+  // flush() by the caller: the hybrid holds in-window updates back from
+  // its octree until a flush boundary.
+  map::OccupancyOctree back_tree(0.2);
+  map::OctreeBackend back(back_tree);
+  localgrid::HybridMapBackend hybrid(back, localgrid::HybridConfig{});
+  hybrid.follow({0, 0, 0});
   map::OccupancyOctree serial(0.2);
   map::ScanInserter serial_inserter(serial);
-  map::ScanInserter sharded_inserter(pipeline);
+  map::ScanInserter hybrid_inserter(hybrid);
   geom::PointCloud cloud;
   geom::SplitMix64 rng(21);
   for (int i = 0; i < 400; ++i) {
@@ -122,8 +126,9 @@ TEST(MapSnapshot, CaptureFlushesAsynchronousBackends) {
                                 static_cast<float>(rng.uniform(-1, 1))});
   }
   serial_inserter.insert_scan(cloud, {0, 0, 0});
-  sharded_inserter.insert_scan(cloud, {0, 0, 0});
-  const auto snapshot = MapSnapshot::capture(pipeline);  // no explicit flush
+  hybrid_inserter.insert_scan(cloud, {0, 0, 0});
+  ASSERT_GT(hybrid.absorber_stats().updates_absorbed, 0u);
+  const auto snapshot = MapSnapshot::capture(hybrid);  // no explicit flush
   EXPECT_EQ(snapshot->content_hash(), serial.content_hash());
 }
 

@@ -1,6 +1,6 @@
-// Concurrency contract of the QueryService: N reader threads race the
-// sharded writer across snapshot publications with no locks on the read
-// path. Run under ThreadSanitizer in CI (the sanitizer matrix job) — the
+// Concurrency contract of the QueryService: N reader threads race a
+// writer across snapshot publications with no locks on the read path.
+// Run under ThreadSanitizer in CI (the sanitizer matrix job) — the
 // assertions here check the memory-model-visible guarantees (snapshot
 // immutability, epoch monotonicity, final convergence); TSan checks that
 // the races the design claims are benign actually don't exist.
@@ -15,7 +15,7 @@
 
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
+#include "world/tiled_world_map.hpp"
 
 namespace omu::query {
 namespace {
@@ -79,96 +79,22 @@ TEST(QueryServiceConcurrency, ReaderKeepsSupersededSnapshotAlive) {
   EXPECT_NE(service.snapshot()->content_hash(), held_hash);
 }
 
-TEST(QueryServiceConcurrency, ReadersRaceShardedWriterAcrossPublications) {
-  // The flagship race: one writer streams scans into the sharded pipeline
-  // and publishes at every flush boundary while reader threads hammer the
-  // service. Readers assert per-snapshot invariants; the final snapshot
-  // must converge to the serial reference bit-identically.
-  constexpr int kScans = 12;
-  constexpr int kReaders = 4;
-
-  QueryService service;
-  pipeline::ShardedMapPipeline pipeline;
-  pipeline.attach_query_service(&service);
-
-  map::OccupancyOctree serial(0.2);
-  map::ScanInserter serial_inserter(serial);
-
-  geom::SplitMix64 scan_rng(101);
-  std::vector<geom::PointCloud> clouds;
-  for (int s = 0; s < kScans; ++s) clouds.push_back(random_cloud(scan_rng, 250));
-
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> reader_queries{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      geom::SplitMix64 rng(static_cast<uint64_t>(r) * 7919 + 1);
-      uint64_t last_epoch = 0;
-      uint64_t queries = 0;
-      std::vector<OcKey> batch_keys(16);
-      std::vector<Occupancy> batch_out;
-      while (!done.load(std::memory_order_acquire)) {
-        const auto snapshot = service.snapshot();
-        // Epochs never go backwards from a reader's point of view.
-        ASSERT_GE(snapshot->epoch(), last_epoch);
-        last_epoch = snapshot->epoch();
-        // One snapshot is one consistent map: a batch answer equals the
-        // pointwise answers against the same snapshot, whatever the writer
-        // is doing meanwhile.
-        for (auto& key : batch_keys) {
-          key = OcKey{static_cast<uint16_t>(map::kKeyOrigin + rng.next_below(64) - 32),
-                      static_cast<uint16_t>(map::kKeyOrigin + rng.next_below(64) - 32),
-                      static_cast<uint16_t>(map::kKeyOrigin + rng.next_below(64) - 32)};
-        }
-        snapshot->classify_batch(batch_keys, batch_out);
-        for (std::size_t i = 0; i < batch_keys.size(); ++i) {
-          ASSERT_EQ(batch_out[i], snapshot->classify(batch_keys[i]));
-        }
-        // Box queries race the writer too.
-        snapshot->any_occupied_in_box(
-            geom::Aabb::from_center_size({rng.uniform(-4, 4), rng.uniform(-4, 4), 0},
-                                         {1.0, 1.0, 1.0}),
-            rng.next_below(2) == 0);
-        queries += batch_keys.size();
-      }
-      reader_queries.fetch_add(queries, std::memory_order_relaxed);
-    });
-  }
-
-  {
-    map::ScanInserter sharded_inserter(pipeline);
-    for (const auto& cloud : clouds) {
-      serial_inserter.insert_scan(cloud, {0, 0, 0});
-      sharded_inserter.insert_scan(cloud, {0, 0, 0});
-      pipeline.flush();  // drain + publish: the epoch boundary
-    }
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& reader : readers) reader.join();
-
-  EXPECT_GT(reader_queries.load(), 0u);
-  EXPECT_EQ(service.publications(), static_cast<uint64_t>(kScans));
-  EXPECT_EQ(service.snapshot()->content_hash(), serial.content_hash());
-  EXPECT_EQ(service.snapshot()->leaves(), map::normalize_to_depth1(serial.leaves_sorted()));
-}
-
 TEST(QueryServiceConcurrency, ConcurrentFlushesNeverPublishStaleContent) {
-  // The single producer applies and flushes while a second thread calls
-  // bare flush() concurrently (a consumer forcing a fresh epoch — the
-  // documented multi-thread use of flush()). Export and publish are one
-  // critical section, so a newer epoch can never carry an older export.
+  // The single producer applies and publishes while a second thread calls
+  // refresh_from concurrently (a consumer forcing a fresh epoch). The
+  // in-memory tiled world serializes its own methods, so it is a backend
+  // two threads may drive at once. Export and publish are one critical
+  // section, so a newer epoch can never carry an older export.
   // Observable contract: occupancy maps only gain information, so once
   // any reader sees a voxel as known, every later epoch must know it too.
   QueryService service;
-  pipeline::ShardedMapPipeline pipeline;
-  pipeline.attach_query_service(&service);
+  world::TiledWorldMap backend{world::TiledWorldConfig{}};
 
   constexpr int kRounds = 60;
   std::atomic<bool> done{false};
 
   std::thread refresher([&] {
-    while (!done.load(std::memory_order_acquire)) pipeline.flush();
+    while (!done.load(std::memory_order_acquire)) service.refresh_from(backend);
   });
 
   std::thread observer([&] {
@@ -199,8 +125,8 @@ TEST(QueryServiceConcurrency, ConcurrentFlushesNeverPublishStaleContent) {
                      static_cast<uint16_t>(map::kKeyOrigin + rng.next_below(8)),
                      map::kKeyOrigin},
                true);
-    pipeline.apply(batch);
-    pipeline.flush();
+    backend.apply(batch);
+    service.refresh_from(backend);
   }
   done.store(true, std::memory_order_release);
   refresher.join();
@@ -290,7 +216,7 @@ TEST(QueryServiceConcurrency, ReadersRaceIncrementalChurnPublications) {
 }
 
 TEST(QueryServiceConcurrency, ConcurrentPublishersSerializeWithMonotonicEpochs) {
-  // Several threads publishing concurrently (e.g. two pipelines flushing):
+  // Several threads publishing concurrently (e.g. two backends flushing):
   // epochs stay dense and monotonic, the final count is exact.
   constexpr int kPublishers = 4;
   constexpr int kPerThread = 25;

@@ -2,7 +2,7 @@
 // MapSnapshot captured from any backend answers point, batch,
 // multi-resolution and AABB queries bit-identically to a flushed serial
 // classify()/search() over the same map — on all three backends (software
-// octree, OMU accelerator model, sharded pipeline).
+// octree, OMU accelerator model, tiled world).
 #include "query/map_snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include "accel/omu_accelerator.hpp"
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
+#include "world/tiled_world_map.hpp"
 
 namespace omu::query {
 namespace {
@@ -44,14 +44,14 @@ struct BackendFleet {
   }
 
   std::array<map::MapBackend*, 3> all() {
-    return {&tree_backend, &omu_backend, &pipeline};
+    return {&tree_backend, &omu_backend, &world};
   }
 
   OccupancyOctree tree{0.2};
   accel::OmuAccelerator omu;
   accel::AcceleratorBackend omu_backend;
   map::OctreeBackend tree_backend;
-  pipeline::ShardedMapPipeline pipeline;
+  world::TiledWorldMap world{world::TiledWorldConfig{}};
 };
 
 OcKey random_key_near(geom::SplitMix64& rng, int span) {
@@ -128,7 +128,7 @@ TEST(SnapshotEquivalence, CoarseDepthMatchesSerialSearchOnAllBackends) {
 
 TEST(SnapshotEquivalence, BatchMatchesPointwiseAndSerial) {
   BackendFleet fleet(5);
-  const auto snapshot = MapSnapshot::capture(fleet.pipeline);
+  const auto snapshot = MapSnapshot::capture(fleet.world);
   geom::SplitMix64 rng(23);
   std::vector<OcKey> keys;
   for (int i = 0; i < 3000; ++i) keys.push_back(random_key_near(rng, 120));

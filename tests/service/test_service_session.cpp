@@ -1,7 +1,7 @@
 // The service's equivalence contract: a map built through omu_client-style
-// RPCs over the loopback wire — octree, sharded, tiled-world and hybrid
-// sessions — is bit-identical (content hash + query answers) to the same
-// stream through the in-process omu::Mapper facade. Floats cross the wire
+// RPCs over the loopback wire — octree, tiled-world and hybrid sessions —
+// is bit-identical (content hash + query answers) to the same stream
+// through the in-process omu::Mapper facade. Floats cross the wire
 // as IEEE-754 bit patterns, so this must hold exactly, not approximately.
 #include <gtest/gtest.h>
 
@@ -83,18 +83,6 @@ TEST(ServiceSession, OctreeSessionMatchesInProcessFacade) {
   expect_wire_equivalence(spec, omu::MapperConfig().resolution(0.1));
 }
 
-TEST(ServiceSession, ShardedSessionMatchesInProcessFacade) {
-  SessionSpec spec;
-  spec.tenant = "sharded";
-  spec.resolution = 0.1;
-  spec.backend = static_cast<uint8_t>(omu::BackendKind::kSharded);
-  spec.shard_threads = 3;
-  expect_wire_equivalence(spec, omu::MapperConfig()
-                                    .resolution(0.1)
-                                    .backend(omu::BackendKind::kSharded)
-                                    .sharded({.threads = 3}));
-}
-
 TEST(ServiceSession, TiledWorldSessionMatchesInProcessFacade) {
   TempDir wire_dir("svc_world_wire");
   TempDir ref_dir("svc_world_ref");
@@ -173,8 +161,8 @@ TEST(ServiceSession, InvalidConfigIsRejectedNotFatal) {
   LoopbackService host;
   ServiceClient client(host.connect());
   SessionSpec bad;
-  bad.backend = static_cast<uint8_t>(omu::BackendKind::kSharded);
-  bad.shard_threads = 0;  // validate() rejects sharded.threads = 0
+  bad.backend = static_cast<uint8_t>(omu::BackendKind::kOctree);
+  bad.resolution = 0.0;  // validate() rejects a non-positive resolution
   EXPECT_EQ(client.create(bad).status().code(), omu::StatusCode::kInvalidArgument);
 
   // The connection survives the rejection.
@@ -183,6 +171,57 @@ TEST(ServiceSession, InvalidConfigIsRejectedNotFatal) {
   auto session = client.create(good);
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE(client.close_session(*session).ok());
+}
+
+TEST(ServiceSession, OutOfRangeBackendKindIsRejectedWhileOthersServe) {
+  // The backend bytes come straight off the wire: 2 is the retired
+  // sharded kind, 0xFF was never one. Each create must fail cleanly with
+  // kInvalidArgument naming the field while another tenant keeps mapping.
+  LoopbackService host;
+  ServiceClient serving(host.connect());
+  SessionSpec good;
+  good.tenant = "serving";
+  good.backend = static_cast<uint8_t>(omu::BackendKind::kOctree);
+  auto session = serving.create(good);
+  ASSERT_TRUE(session.ok()) << session.status().to_string();
+  const auto scans = make_sweep_scans(/*stream=*/3, /*scans=*/6, /*points_per_scan=*/128);
+
+  ServiceClient hostile(host.connect());
+  struct BadKind {
+    uint8_t backend;
+    uint8_t hybrid_back_backend;
+    const char* field;
+  };
+  const uint8_t hybrid = static_cast<uint8_t>(omu::BackendKind::kHybrid);
+  const BadKind bad_kinds[] = {{2, 0, "backend: 2"},
+                               {0xFF, 0, "backend: 255"},
+                               {hybrid, 2, "hybrid.back_backend: 2"},
+                               {hybrid, 0xFF, "hybrid.back_backend: 255"}};
+  std::size_t scan = 0;
+  for (const BadKind& kind : bad_kinds) {
+    SessionSpec bad;
+    bad.tenant = "hostile";
+    bad.backend = kind.backend;
+    bad.hybrid_back_backend = kind.hybrid_back_backend;
+    const auto created = hostile.create(bad);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), omu::StatusCode::kInvalidArgument);
+    EXPECT_NE(created.status().message().find(kind.field), std::string::npos)
+        << created.status().to_string();
+
+    // The other tenant's session is untouched and keeps serving.
+    const auto& next = scans[scan++ % scans.size()];
+    EXPECT_TRUE(serving.insert(*session, next.origin, next.xyz).ok());
+    EXPECT_TRUE(serving.flush(*session).ok());
+  }
+  EXPECT_EQ(host.service().session_count(), 1u);
+  auto hash = serving.content_hash(*session);
+  ASSERT_TRUE(hash.ok()) << hash.status().to_string();
+  auto query = serving.query(*session, {omu::Vec3{0.0, 0.0, 0.0}});
+  ASSERT_TRUE(query.ok()) << query.status().to_string();
+  EXPECT_TRUE(serving.close_session(*session).ok());
+  // The rejecting connection survives too.
+  EXPECT_TRUE(hostile.hello().ok());
 }
 
 TEST(ServiceSession, OperationsAfterCloseAreNotFound) {

@@ -8,7 +8,6 @@
 
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "world_test_util.hpp"
 
 namespace omu::world {
@@ -133,26 +132,6 @@ TEST(TiledWorldMap, EquivalenceSurvivesEvictionUnderAByteBudget) {
   EXPECT_LE(stats.resident_bytes, cfg.resident_byte_budget);
   EXPECT_LE(stats.peak_resident_bytes,
             cfg.resident_byte_budget + stats.max_residency_step_bytes);
-}
-
-TEST(TiledWorldMap, MatchesShardedPipelineContent) {
-  TiledWorldConfig cfg;
-  cfg.tile_shift = 6;
-  TiledWorldMap world(cfg);
-  pipeline::ShardedMapPipeline sharded;
-  const std::vector<SweepScan> scans = make_sweep_scans(9, 10, 250);
-  map::ScanInserter world_inserter(world);
-  map::ScanInserter sharded_inserter(sharded);
-  for (const SweepScan& scan : scans) {
-    world_inserter.insert_scan(scan.points, scan.origin);
-    sharded_inserter.insert_scan(scan.points, scan.origin);
-  }
-  world.flush();
-  sharded.flush();
-  // Both shard the same stream at different granularities; the merged
-  // octree re-prunes, so compare in the world's normalized form.
-  EXPECT_EQ(world.leaves_sorted(),
-            map::normalize_to_min_depth(sharded.leaves_sorted(), world.grid().tile_depth()));
 }
 
 TEST(TiledWorldMap, EmptyWorldAnswersUnknown) {
