@@ -1,26 +1,15 @@
-// Hot-path microbenchmarks: scalar-vs-SIMD throughput of each insert-path
-// batch kernel, per-ray-vs-batch DDA front ends, and the end-to-end insert
-// rate the data-oriented hot path delivers.
+// Hot-path microbenchmarks: the per-ray vs SoA batch DDA front ends on
+// the same scan, and the end-to-end insert rate (ray casting, dedup and
+// octree update) the data-oriented hot path delivers.
 //
 // Unlike the paper-table families these are host-performance numbers (the
-// perf-gate lane tracks them via baseline.json). The `impl` axis pairs
-// every SIMD case with its scalar reference on the same inputs; the SIMD
-// case re-runs the scalar kernel under paused timing and *checks* bitwise
-// equality, so a perf run doubles as a bit-identity audit. SIMD cases
-// skip (never fail) in an OMU_SIMD=OFF build.
-#include <algorithm>
-#include <bit>
-#include <cstring>
+// perf-gate lane tracks them via baseline.json).
+#include <string>
 #include <vector>
 
 #include "benchkit/benchmark.hpp"
-#include "geom/kernels/key_kernels.hpp"
-#include "geom/kernels/logodds_kernels.hpp"
-#include "geom/kernels/ray_kernels.hpp"
-#include "geom/kernels/simd.hpp"
 #include "geom/rng.hpp"
 #include "map/occupancy_octree.hpp"
-#include "map/ray_batch.hpp"
 #include "map/ray_generator.hpp"
 #include "map/ray_keys.hpp"
 #include "map/scan_inserter.hpp"
@@ -28,175 +17,6 @@
 namespace {
 
 using namespace omu;
-namespace kernels = geom::kernels;
-
-/// True when the case should run the SIMD dispatchers; marks the case
-/// skipped (and returns false) when the build has no SIMD kernels.
-bool want_simd(benchkit::State& state) {
-  if (state.param("impl") != "simd") return false;
-  if (!kernels::simd_active()) state.skip("SIMD kernels not compiled in (OMU_SIMD=OFF)");
-  return true;
-}
-
-void hotpath_ray_prepare(benchkit::State& state) {
-  const bool simd = want_simd(state);
-  if (state.skipped()) return;
-
-  state.pause_timing();
-  constexpr std::size_t kRays = 20000;
-  constexpr int kRounds = 20;
-  geom::SplitMix64 rng(71);
-  const geom::Vec3d origin{0.2, -0.3, 0.4};
-  std::vector<double> pristine_x(kRays), pristine_y(kRays), pristine_z(kRays);
-  for (std::size_t i = 0; i < kRays; ++i) {
-    pristine_x[i] = rng.uniform(-12.0, 12.0);
-    pristine_y[i] = rng.uniform(-12.0, 12.0);
-    pristine_z[i] = rng.uniform(-12.0, 12.0);
-  }
-  std::vector<double> ex(kRays), ey(kRays), ez(kRays), dx(kRays), dy(kRays), dz(kRays),
-      len(kRays);
-  std::vector<uint8_t> trunc(kRays);
-  const auto fn = simd ? &kernels::prepare_rays : &kernels::prepare_rays_scalar;
-  state.resume_timing();
-
-  for (int round = 0; round < kRounds; ++round) {
-    // The kernel clips endpoints in place, so each round restarts from the
-    // pristine copies; the memcpy streams 3 doubles/ray and is part of the
-    // realistic cost of staging a scan.
-    std::memcpy(ex.data(), pristine_x.data(), kRays * sizeof(double));
-    std::memcpy(ey.data(), pristine_y.data(), kRays * sizeof(double));
-    std::memcpy(ez.data(), pristine_z.data(), kRays * sizeof(double));
-    fn(ex.data(), ey.data(), ez.data(), kRays, origin.x, origin.y, origin.z, 8.0, dx.data(),
-       dy.data(), dz.data(), len.data(), trunc.data());
-  }
-  state.set_items_processed(static_cast<uint64_t>(kRays) * kRounds);
-
-  if (simd) {
-    state.pause_timing();
-    std::vector<double> sx = pristine_x, sy = pristine_y, sz = pristine_z, sdx(kRays), sdy(kRays),
-                        sdz(kRays), slen(kRays);
-    std::vector<uint8_t> strunc(kRays);
-    kernels::prepare_rays_scalar(sx.data(), sy.data(), sz.data(), kRays, origin.x, origin.y,
-                                 origin.z, 8.0, sdx.data(), sdy.data(), sdz.data(), slen.data(),
-                                 strunc.data());
-    bool identical = std::memcmp(strunc.data(), trunc.data(), kRays) == 0;
-    for (std::size_t i = 0; identical && i < kRays; ++i) {
-      identical = std::bit_cast<uint64_t>(sx[i]) == std::bit_cast<uint64_t>(ex[i]) &&
-                  std::bit_cast<uint64_t>(sdx[i]) == std::bit_cast<uint64_t>(dx[i]) &&
-                  std::bit_cast<uint64_t>(sdy[i]) == std::bit_cast<uint64_t>(dy[i]) &&
-                  std::bit_cast<uint64_t>(sdz[i]) == std::bit_cast<uint64_t>(dz[i]) &&
-                  std::bit_cast<uint64_t>(slen[i]) == std::bit_cast<uint64_t>(len[i]);
-    }
-    state.check("bitwise_matches_scalar", identical);
-    state.resume_timing();
-  }
-}
-
-void hotpath_quantize(benchkit::State& state) {
-  const bool simd = want_simd(state);
-  if (state.skipped()) return;
-
-  state.pause_timing();
-  constexpr std::size_t kCoords = 200000;
-  constexpr int kRounds = 20;
-  geom::SplitMix64 rng(72);
-  std::vector<double> coords(kCoords);
-  for (double& c : coords) c = rng.uniform(-50.0, 50.0);
-  std::vector<uint16_t> keys(kCoords);
-  std::vector<uint8_t> valid(kCoords);
-  const auto fn = simd ? &kernels::quantize_axis : &kernels::quantize_axis_scalar;
-  state.resume_timing();
-
-  for (int round = 0; round < kRounds; ++round) {
-    fn(coords.data(), kCoords, 5.0, map::kKeyOrigin, keys.data(), valid.data());
-  }
-  state.set_items_processed(static_cast<uint64_t>(kCoords) * kRounds);
-
-  if (simd) {
-    state.pause_timing();
-    std::vector<uint16_t> ref_keys(kCoords);
-    std::vector<uint8_t> ref_valid(kCoords);
-    kernels::quantize_axis_scalar(coords.data(), kCoords, 5.0, map::kKeyOrigin, ref_keys.data(),
-                                  ref_valid.data());
-    state.check("bitwise_matches_scalar", ref_keys == keys && ref_valid == valid);
-    state.resume_timing();
-  }
-}
-
-void hotpath_morton(benchkit::State& state) {
-  const bool simd = want_simd(state);
-  if (state.skipped()) return;
-
-  state.pause_timing();
-  constexpr std::size_t kKeys = 200000;
-  constexpr int kRounds = 20;
-  geom::SplitMix64 rng(73);
-  std::vector<uint16_t> x(kKeys), y(kKeys), z(kKeys);
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    x[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-    y[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-    z[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-  }
-  std::vector<uint64_t> morton(kKeys), packed(kKeys);
-  const auto morton_fn = simd ? &kernels::morton48_batch : &kernels::morton48_batch_scalar;
-  const auto packed_fn = simd ? &kernels::packed48_batch : &kernels::packed48_batch_scalar;
-  state.resume_timing();
-
-  for (int round = 0; round < kRounds; ++round) {
-    morton_fn(x.data(), y.data(), z.data(), kKeys, morton.data());
-    packed_fn(x.data(), y.data(), z.data(), kKeys, packed.data());
-  }
-  // Each round derives both codes for every key.
-  state.set_items_processed(static_cast<uint64_t>(kKeys) * kRounds * 2);
-
-  if (simd) {
-    state.pause_timing();
-    std::vector<uint64_t> ref_morton(kKeys), ref_packed(kKeys);
-    kernels::morton48_batch_scalar(x.data(), y.data(), z.data(), kKeys, ref_morton.data());
-    kernels::packed48_batch_scalar(x.data(), y.data(), z.data(), kKeys, ref_packed.data());
-    state.check("bitwise_matches_scalar", ref_morton == morton && ref_packed == packed);
-    state.resume_timing();
-  }
-}
-
-void hotpath_logodds(benchkit::State& state) {
-  const bool simd = want_simd(state);
-  if (state.skipped()) return;
-
-  state.pause_timing();
-  constexpr std::size_t kValues = 200000;
-  constexpr int kRounds = 20;
-  geom::SplitMix64 rng(74);
-  std::vector<float> pristine(kValues), deltas(kValues);
-  for (std::size_t i = 0; i < kValues; ++i) {
-    pristine[i] = static_cast<float>(rng.uniform(-2.0, 3.5));
-    deltas[i] = rng.next_below(100) < 40 ? 0.85f : -0.4f;
-  }
-  std::vector<float> values(kValues);
-  state.resume_timing();
-
-  for (int round = 0; round < kRounds; ++round) {
-    std::memcpy(values.data(), pristine.data(), kValues * sizeof(float));
-    if (simd) {
-      kernels::saturating_add_batch(values.data(), deltas.data(), kValues, -2.0f, 3.5f);
-    } else {
-      kernels::saturating_add_batch_scalar(values.data(), deltas.data(), kValues, -2.0f, 3.5f);
-    }
-  }
-  state.set_items_processed(static_cast<uint64_t>(kValues) * kRounds);
-
-  if (simd) {
-    state.pause_timing();
-    std::vector<float> ref = pristine;
-    kernels::saturating_add_batch_scalar(ref.data(), deltas.data(), kValues, -2.0f, 3.5f);
-    bool identical = true;
-    for (std::size_t i = 0; identical && i < kValues; ++i) {
-      identical = std::bit_cast<uint32_t>(ref[i]) == std::bit_cast<uint32_t>(values[i]);
-    }
-    state.check("bitwise_matches_scalar", identical);
-    state.resume_timing();
-  }
-}
 
 void hotpath_dda(benchkit::State& state) {
   const bool batch = state.param("impl") == "batch";
@@ -270,10 +90,6 @@ void hotpath_insert_e2e(benchkit::State& state) {
   state.check("map_nonempty", tree.leaf_count() > 0);
 }
 
-OMU_BENCHMARK(hotpath_ray_prepare).axis("impl", std::vector<std::string>{"scalar", "simd"});
-OMU_BENCHMARK(hotpath_quantize).axis("impl", std::vector<std::string>{"scalar", "simd"});
-OMU_BENCHMARK(hotpath_morton).axis("impl", std::vector<std::string>{"scalar", "simd"});
-OMU_BENCHMARK(hotpath_logodds).axis("impl", std::vector<std::string>{"scalar", "simd"});
 OMU_BENCHMARK(hotpath_dda).axis("impl", std::vector<std::string>{"per_ray", "batch"});
 OMU_BENCHMARK(hotpath_insert_e2e)
     .axis("mode", std::vector<std::string>{"ray_by_ray", "discretized"});

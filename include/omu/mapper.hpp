@@ -122,7 +122,7 @@ class Mapper {
   /// from each ray's own origin (consecutive rays sharing an origin are
   /// integrated as one scan, so a sorted ray stream costs the same as a
   /// plain scan). This is the one ingest entry point; every other insert
-  /// overload and the legacy insert_scan/insert_rays names funnel here.
+  /// overload funnels here.
   Status insert(const ScanView& scan);
 
   /// Integrates `point_count` world-frame float32 endpoints as packed xyz
@@ -144,21 +144,6 @@ class Mapper {
   Status insert(const std::vector<Ray>& rays) {
     return insert(rays.empty() ? nullptr : rays.data(), rays.size());
   }
-
-  // Legacy ingest names (pre-0.6): thin forwarders to insert().
-
-  /// \deprecated Use insert(xyz, point_count, origin).
-  Status insert_scan(const float* xyz, std::size_t point_count, const Vec3& origin) {
-    return insert(xyz, point_count, origin);
-  }
-  /// \deprecated Use insert(points, origin).
-  Status insert_scan(const std::vector<Point>& points, const Vec3& origin) {
-    return insert(points, origin);
-  }
-  /// \deprecated Use insert(rays, ray_count).
-  Status insert_rays(const Ray* rays, std::size_t ray_count) { return insert(rays, ray_count); }
-  /// \deprecated Use insert(rays).
-  Status insert_rays(const std::vector<Ray>& rays) { return insert(rays); }
 
   /// Retires any pending backlog (accelerator pipeline, absorber window,
   /// dirty tiles) and publishes a fresh snapshot/view — the epoch

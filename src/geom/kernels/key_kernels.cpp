@@ -2,142 +2,26 @@
 
 #include <cmath>
 
-#include "geom/kernels/simd.hpp"
-
 namespace omu::geom::kernels {
 
-void morton48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = morton48(x[i], y[i], z[i]);
-  }
-}
-
-void packed48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out) {
+void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
+                    uint64_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = packed48(x[i], y[i], z[i]);
   }
 }
 
-void quantize_axis_scalar(const double* x, std::size_t n, double inv_res, int32_t key_origin,
-                          uint16_t* key_out, uint8_t* valid_out) {
+void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_origin,
+                   uint16_t* key_out, uint8_t* valid_out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const auto cell = static_cast<int64_t>(std::floor(x[i] * inv_res));
-    const int64_t shifted = cell + key_origin;
-    const bool valid = shifted >= 0 && shifted <= 0xFFFF;
+    // Range-check in the double domain: NaN, +-Inf and huge products fail
+    // the window before any integer conversion, so the cast below only
+    // ever sees values well inside int64_t.
+    const double shifted = std::floor(x[i] * inv_res) + key_origin;
+    const bool valid = shifted >= 0.0 && shifted <= 65535.0;
     key_out[i] = valid ? static_cast<uint16_t>(shifted) : uint16_t{0};
     valid_out[i] = valid ? uint8_t{1} : uint8_t{0};
   }
 }
-
-#if OMU_KERNELS_SSE2
-
-namespace {
-
-// Widens a pair of 16-bit keys sitting in the low 64-bit lanes of `v`
-// (one key per lane, zero-extended) — callers load via set_epi64x.
-inline __m128i part1by2_16_x2(__m128i v) {
-  const __m128i m0 = _mm_set_epi64x(0x0000'0000'FF00'00FFll, 0x0000'0000'FF00'00FFll);
-  const __m128i m1 = _mm_set_epi64x(0x0000'00F0'0F00'F00Fll, 0x0000'00F0'0F00'F00Fll);
-  const __m128i m2 = _mm_set_epi64x(0x0000'0C30'C30C'30C3ll, 0x0000'0C30'C30C'30C3ll);
-  const __m128i m3 = _mm_set_epi64x(0x0000'2492'4924'9249ll, 0x0000'2492'4924'9249ll);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 16)), m0);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 8)), m1);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 4)), m2);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 2)), m3);
-  return v;
-}
-
-inline __m128i load_keys_x2(const uint16_t* k, std::size_t i) {
-  return _mm_set_epi64x(static_cast<long long>(k[i + 1]), static_cast<long long>(k[i]));
-}
-
-}  // namespace
-
-void morton48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i mx = part1by2_16_x2(load_keys_x2(x, i));
-    const __m128i my = part1by2_16_x2(load_keys_x2(y, i));
-    const __m128i mz = part1by2_16_x2(load_keys_x2(z, i));
-    const __m128i m =
-        _mm_or_si128(mx, _mm_or_si128(_mm_slli_epi64(my, 1), _mm_slli_epi64(mz, 2)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), m);
-  }
-  morton48_batch_scalar(x + i, y + i, z + i, n - i, out + i);
-}
-
-void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i px = load_keys_x2(x, i);
-    const __m128i py = _mm_slli_epi64(load_keys_x2(y, i), 16);
-    const __m128i pz = _mm_slli_epi64(load_keys_x2(z, i), 32);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_or_si128(px, _mm_or_si128(py, pz)));
-  }
-  packed48_batch_scalar(x + i, y + i, z + i, n - i, out + i);
-}
-
-void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_origin,
-                   uint16_t* key_out, uint8_t* valid_out) {
-  const __m128d vinv = _mm_set1_pd(inv_res);
-  const __m128d vone = _mm_set1_pd(1.0);
-  const __m128i vorigin = _mm_set1_epi32(key_origin);
-  const __m128i vneg1 = _mm_set1_epi32(-1);
-  const __m128i vmax1 = _mm_set1_epi32(0x10000);
-  const __m128i vmask16 = _mm_set1_epi32(0xFFFF);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // floor(x * inv_res) per lane. cvttpd truncates toward zero; subtract
-    // 1.0 (in the double domain, before the final convert) on lanes where
-    // the truncated value exceeds the product, which is exactly the
-    // negative-fraction case. |product| >= 2^31 lanes hit the cvttpd
-    // sentinel INT32_MIN and fail the range check below, matching the
-    // scalar path that rejects them via the 0..0xFFFF window.
-    const __m128d t0 = _mm_mul_pd(_mm_loadu_pd(x + i), vinv);
-    const __m128d t1 = _mm_mul_pd(_mm_loadu_pd(x + i + 2), vinv);
-    const __m128d f0 = _mm_cvtepi32_pd(_mm_cvttpd_epi32(t0));
-    const __m128d f1 = _mm_cvtepi32_pd(_mm_cvttpd_epi32(t1));
-    const __m128d fl0 = _mm_sub_pd(f0, _mm_and_pd(_mm_cmpgt_pd(f0, t0), vone));
-    const __m128d fl1 = _mm_sub_pd(f1, _mm_and_pd(_mm_cmpgt_pd(f1, t1), vone));
-    const __m128i cells =
-        _mm_unpacklo_epi64(_mm_cvttpd_epi32(fl0), _mm_cvttpd_epi32(fl1));
-    const __m128i shifted = _mm_add_epi32(cells, vorigin);
-    const __m128i valid = _mm_and_si128(_mm_cmpgt_epi32(shifted, vneg1),
-                                        _mm_cmpgt_epi32(vmax1, shifted));
-    const __m128i keys = _mm_and_si128(shifted, _mm_and_si128(valid, vmask16));
-    alignas(16) int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), keys);
-    const int vm = _mm_movemask_ps(_mm_castsi128_ps(valid));
-    for (int k = 0; k < 4; ++k) {
-      key_out[i + k] = static_cast<uint16_t>(lanes[k]);
-      valid_out[i + k] = static_cast<uint8_t>((vm >> k) & 1);
-    }
-  }
-  quantize_axis_scalar(x + i, n - i, inv_res, key_origin, key_out + i, valid_out + i);
-}
-
-#else  // !OMU_KERNELS_SSE2
-
-void morton48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  morton48_batch_scalar(x, y, z, n, out);
-}
-
-void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  packed48_batch_scalar(x, y, z, n, out);
-}
-
-void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_origin,
-                   uint16_t* key_out, uint8_t* valid_out) {
-  quantize_axis_scalar(x, n, inv_res, key_origin, key_out, valid_out);
-}
-
-#endif  // OMU_KERNELS_SSE2
 
 }  // namespace omu::geom::kernels

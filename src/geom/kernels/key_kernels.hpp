@@ -1,5 +1,5 @@
-// Batch voxel-key kernels: coordinate quantization, 48-bit packing and
-// Morton interleaving over structure-of-arrays spans.
+// Voxel-key kernels: batch coordinate quantization and 48-bit packing over
+// structure-of-arrays spans, plus the per-key Morton interleave.
 //
 // These are the integer half of the insert hot path: world coordinates
 // quantize to per-axis 16-bit keys (floor(x / res) recentred on the key
@@ -9,9 +9,7 @@
 // one shift+mask per level instead of three.
 //
 // The kernels are layer-pure: they know nothing about OcKey or KeyCoder
-// (the map layer bridges), only raw uint16/double spans. Every batch entry
-// point has a `_scalar` reference variant; the unsuffixed name dispatches
-// to SSE2 when OMU_SIMD is on (see simd.hpp for the bit-identity contract).
+// (the map layer bridges), only raw uint16/double spans.
 #pragma once
 
 #include <cstddef>
@@ -45,15 +43,7 @@ constexpr uint64_t packed48(uint16_t x, uint16_t y, uint16_t z) {
          (static_cast<uint64_t>(z) << 32);
 }
 
-/// Batch Morton interleave: out[i] = morton48(x[i], y[i], z[i]).
-void morton48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out);
-void morton48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out);
-
 /// Batch packed-key computation: out[i] = packed48(x[i], y[i], z[i]).
-void packed48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out);
 void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
                     uint64_t* out);
 
@@ -64,9 +54,8 @@ void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std
 ///   shifted = cell + key_origin
 ///   valid   = 0 <= shifted <= 0xFFFF
 /// key_out[i] is the shifted key when valid, 0 otherwise; valid_out[i] is
-/// 1/0. Semantics match KeyCoder::axis_key exactly for all finite inputs.
-void quantize_axis_scalar(const double* x, std::size_t n, double inv_res, int32_t key_origin,
-                          uint16_t* key_out, uint8_t* valid_out);
+/// 1/0. Semantics match KeyCoder::axis_key exactly; NaN and infinite
+/// inputs are invalid.
 void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_origin,
                    uint16_t* key_out, uint8_t* valid_out);
 

@@ -5,14 +5,10 @@
 // the hottest loop of the whole system. Both are expressed here as
 // straight-line min/max and comparison-mask arithmetic (the saturating
 // updater idiom of scrollgrid's occupancy updaters), which compile to
-// minss/maxss + setcc with no branches. A 4-wide batch form backs the
-// hotpath microbenches and any bulk reweighting pass.
+// minss/maxss + setcc with no branches.
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
-
-#include "geom/kernels/simd.hpp"
 
 namespace omu::geom::kernels {
 
@@ -29,36 +25,6 @@ constexpr bool update_saturates(float value, float delta, float lo, float hi) {
   const int up = static_cast<int>(delta >= 0.0f) & static_cast<int>(value >= hi);
   const int down = static_cast<int>(delta <= 0.0f) & static_cast<int>(value <= lo);
   return (up | down) != 0;
-}
-
-/// In-place batch saturating add: values[i] = clamp(values[i] + deltas[i]).
-/// Scalar reference implementation.
-inline void saturating_add_batch_scalar(float* values, const float* deltas, std::size_t n,
-                                        float lo, float hi) {
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = saturating_add(values[i], deltas[i], lo, hi);
-  }
-}
-
-/// Dispatching batch saturating add (4-wide SSE2 when enabled).
-inline void saturating_add_batch(float* values, const float* deltas, std::size_t n, float lo,
-                                 float hi) {
-#if OMU_KERNELS_SSE2
-  const __m128 vlo = _mm_set1_ps(lo);
-  const __m128 vhi = _mm_set1_ps(hi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v = _mm_loadu_ps(values + i);
-    const __m128 d = _mm_loadu_ps(deltas + i);
-    // max(lo, min(hi, v + d)) — the same operation order as the scalar
-    // form, so results are bit-identical lane by lane.
-    const __m128 sum = _mm_add_ps(v, d);
-    _mm_storeu_ps(values + i, _mm_max_ps(vlo, _mm_min_ps(vhi, sum)));
-  }
-  saturating_add_batch_scalar(values + i, deltas + i, n - i, lo, hi);
-#else
-  saturating_add_batch_scalar(values, deltas, n, lo, hi);
-#endif
 }
 
 }  // namespace omu::geom::kernels

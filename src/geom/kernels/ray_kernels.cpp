@@ -3,14 +3,11 @@
 #include <cmath>
 #include <limits>
 
-#include "geom/kernels/simd.hpp"
-
 namespace omu::geom::kernels {
 
-void prepare_rays_scalar(double* end_x, double* end_y, double* end_z, std::size_t n,
-                         double origin_x, double origin_y, double origin_z, double max_range,
-                         double* dir_x, double* dir_y, double* dir_z, double* length,
-                         uint8_t* truncated) {
+void prepare_rays(double* end_x, double* end_y, double* end_z, std::size_t n, double origin_x,
+                  double origin_y, double origin_z, double max_range, double* dir_x,
+                  double* dir_y, double* dir_z, double* length, uint8_t* truncated) {
   const bool limited = max_range > 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     double ex = end_x[i];
@@ -43,9 +40,9 @@ void prepare_rays_scalar(double* end_x, double* end_y, double* end_z, std::size_
   }
 }
 
-void dda_setup_axis_scalar(const double* dir, std::size_t n, double origin, double border_pos,
-                           double border_neg, double res, int8_t* step, double* t_max,
-                           double* t_delta) {
+void dda_setup_axis(const double* dir, std::size_t n, double origin, double border_pos,
+                    double border_neg, double res, int8_t* step, double* t_max,
+                    double* t_delta) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     const double d = dir[i];
@@ -61,117 +58,5 @@ void dda_setup_axis_scalar(const double* dir, std::size_t n, double origin, doub
     }
   }
 }
-
-#if OMU_KERNELS_SSE2
-
-namespace {
-
-/// a where mask lanes are set, b elsewhere.
-inline __m128d select_pd(__m128d mask, __m128d a, __m128d b) {
-  return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
-}
-
-}  // namespace
-
-void prepare_rays(double* end_x, double* end_y, double* end_z, std::size_t n, double origin_x,
-                  double origin_y, double origin_z, double max_range, double* dir_x,
-                  double* dir_y, double* dir_z, double* length, uint8_t* truncated) {
-  const bool limited = max_range > 0.0;
-  const __m128d vox = _mm_set1_pd(origin_x);
-  const __m128d voy = _mm_set1_pd(origin_y);
-  const __m128d voz = _mm_set1_pd(origin_z);
-  const __m128d vmax = _mm_set1_pd(max_range);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d ex = _mm_loadu_pd(end_x + i);
-    __m128d ey = _mm_loadu_pd(end_y + i);
-    __m128d ez = _mm_loadu_pd(end_z + i);
-    __m128d dx = _mm_sub_pd(ex, vox);
-    __m128d dy = _mm_sub_pd(ey, voy);
-    __m128d dz = _mm_sub_pd(ez, voz);
-    const __m128d dist = _mm_sqrt_pd(_mm_add_pd(
-        _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)), _mm_mul_pd(dz, dz)));
-    __m128d len = dist;
-    int trunc_mask = 0;
-    if (limited) {
-      // cmpnle is !(dist <= max): true for clipped lanes and for NaN
-      // distances, exactly the scalar branch condition.
-      const __m128d clip = _mm_cmpnle_pd(dist, vmax);
-      trunc_mask = _mm_movemask_pd(clip);
-      if (trunc_mask != 0) {
-        const __m128d t = _mm_div_pd(vmax, dist);
-        ex = select_pd(clip, _mm_add_pd(vox, _mm_mul_pd(dx, t)), ex);
-        ey = select_pd(clip, _mm_add_pd(voy, _mm_mul_pd(dy, t)), ey);
-        ez = select_pd(clip, _mm_add_pd(voz, _mm_mul_pd(dz, t)), ez);
-        dx = _mm_sub_pd(ex, vox);
-        dy = _mm_sub_pd(ey, voy);
-        dz = _mm_sub_pd(ez, voz);
-        // Unclipped lanes recompute to the identical bits; clipped lanes
-        // need the fresh norm of the shortened ray.
-        const __m128d len2 = _mm_sqrt_pd(_mm_add_pd(
-            _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)), _mm_mul_pd(dz, dz)));
-        len = select_pd(clip, len2, dist);
-      }
-    }
-    _mm_storeu_pd(end_x + i, ex);
-    _mm_storeu_pd(end_y + i, ey);
-    _mm_storeu_pd(end_z + i, ez);
-    _mm_storeu_pd(dir_x + i, _mm_div_pd(dx, len));
-    _mm_storeu_pd(dir_y + i, _mm_div_pd(dy, len));
-    _mm_storeu_pd(dir_z + i, _mm_div_pd(dz, len));
-    _mm_storeu_pd(length + i, len);
-    truncated[i] = static_cast<uint8_t>(trunc_mask & 1);
-    truncated[i + 1] = static_cast<uint8_t>((trunc_mask >> 1) & 1);
-  }
-  prepare_rays_scalar(end_x + i, end_y + i, end_z + i, n - i, origin_x, origin_y, origin_z,
-                      max_range, dir_x + i, dir_y + i, dir_z + i, length + i, truncated + i);
-}
-
-void dda_setup_axis(const double* dir, std::size_t n, double origin, double border_pos,
-                    double border_neg, double res, int8_t* step, double* t_max,
-                    double* t_delta) {
-  const __m128d vzero = _mm_setzero_pd();
-  const __m128d vorigin = _mm_set1_pd(origin);
-  const __m128d vbp = _mm_set1_pd(border_pos);
-  const __m128d vbn = _mm_set1_pd(border_neg);
-  const __m128d vres = _mm_set1_pd(res);
-  const __m128d vinf = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  const __m128d abs_mask = _mm_castsi128_pd(_mm_set1_epi64x(0x7FFF'FFFF'FFFF'FFFFll));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d d = _mm_loadu_pd(dir + i);
-    const __m128d pos = _mm_cmpgt_pd(d, vzero);
-    const __m128d neg = _mm_cmplt_pd(d, vzero);
-    const __m128d moving = _mm_or_pd(pos, neg);  // false for 0 and NaN
-    const __m128d border = select_pd(pos, vbp, _mm_and_pd(neg, vbn));
-    const __m128d tm = _mm_div_pd(_mm_sub_pd(border, vorigin), d);
-    const __m128d td = _mm_div_pd(vres, _mm_and_pd(abs_mask, d));
-    _mm_storeu_pd(t_max + i, select_pd(moving, tm, vinf));
-    _mm_storeu_pd(t_delta + i, select_pd(moving, td, vinf));
-    const int pm = _mm_movemask_pd(pos);
-    const int nm = _mm_movemask_pd(neg);
-    step[i] = static_cast<int8_t>((pm & 1) - (nm & 1));
-    step[i + 1] = static_cast<int8_t>(((pm >> 1) & 1) - ((nm >> 1) & 1));
-  }
-  dda_setup_axis_scalar(dir + i, n - i, origin, border_pos, border_neg, res, step + i,
-                        t_max + i, t_delta + i);
-}
-
-#else  // !OMU_KERNELS_SSE2
-
-void prepare_rays(double* end_x, double* end_y, double* end_z, std::size_t n, double origin_x,
-                  double origin_y, double origin_z, double max_range, double* dir_x,
-                  double* dir_y, double* dir_z, double* length, uint8_t* truncated) {
-  prepare_rays_scalar(end_x, end_y, end_z, n, origin_x, origin_y, origin_z, max_range, dir_x,
-                      dir_y, dir_z, length, truncated);
-}
-
-void dda_setup_axis(const double* dir, std::size_t n, double origin, double border_pos,
-                    double border_neg, double res, int8_t* step, double* t_max,
-                    double* t_delta) {
-  dda_setup_axis_scalar(dir, n, origin, border_pos, border_neg, res, step, t_max, t_delta);
-}
-
-#endif  // OMU_KERNELS_SSE2
 
 }  // namespace omu::geom::kernels

@@ -9,8 +9,8 @@
 // multiple of 8 slots, a full child block is one aligned cache line — the
 // bottom-up parent update touches 16 of them per voxel update, so this is
 // the single most update-rate-critical layout decision in the tree. The
-// alignment also licenses the SIMD parent-update kernel to use aligned
-// 128-bit loads over the block (occupancy_octree.cpp).
+// vector parent update reads the block as four aligned 16-byte loads
+// (occupancy_octree.cpp).
 //
 // Index 0 is the root; slots 1..7 pad the first line so block bases stay
 // 8-aligned. Block indices are plain int32 arena offsets — relocatable,

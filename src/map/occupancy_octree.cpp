@@ -8,12 +8,32 @@
 
 #include "geom/kernels/key_kernels.hpp"
 #include "geom/kernels/logodds_kernels.hpp"
-#include "geom/kernels/simd.hpp"
+#include "map/framed_record.hpp"
 #include "obs/trace.hpp"
 
 namespace omu::map {
 
 namespace kernels = geom::kernels;
+
+namespace {
+
+// GCC/Clang vector extensions: one source for the parent update that
+// compiles to SSE2 on x86-64 and to NEON on AArch64.
+using f32x4 = float __attribute__((vector_size(16)));
+using i32x4 = int32_t __attribute__((vector_size(16)));
+using u64x2 = uint64_t __attribute__((vector_size(16)));
+
+// Lane-wise `a > b ? a : b`, the operand order of x86 maxps: ties between
+// +0 and -0 resolve to `b` on every target.
+inline f32x4 max4(f32x4 a, f32x4 b) { return a > b ? a : b; }
+
+// True when every lane of a comparison mask is set.
+inline bool all_lanes(i32x4 mask) {
+  const auto halves = std::bit_cast<u64x2>(mask);
+  return (halves[0] & halves[1]) == ~uint64_t{0};
+}
+
+}  // namespace
 
 OccupancyOctree::OccupancyOctree(double resolution, OccupancyParams params)
     : coder_(resolution), params_(params.quantized ? params.snapped_to_fixed_point() : params) {
@@ -60,73 +80,34 @@ bool OccupancyOctree::update_inner_and_try_prune(int32_t node_idx) {
   const int32_t base = node.children;
   stats_.parent_updates++;
 
-#if OMU_KERNELS_SSE2
   // The child block is one 64-byte-aligned cache line of 8 {float value,
-  // int32 children} pairs; four aligned 128-bit loads cover it. Deinterleave
+  // int32 children} pairs; four 16-byte loads cover it. Deinterleave
   // values/children, blend unknown lanes to -inf, and reduce: parent value,
   // the all-leaves test and the prune-equality test all come from the same
-  // four registers with no per-child branches.
-  const Node* blk = pool_.block(base);
-  const __m128i r0 = _mm_load_si128(reinterpret_cast<const __m128i*>(blk + 0));
-  const __m128i r1 = _mm_load_si128(reinterpret_cast<const __m128i*>(blk + 2));
-  const __m128i r2 = _mm_load_si128(reinterpret_cast<const __m128i*>(blk + 4));
-  const __m128i r3 = _mm_load_si128(reinterpret_cast<const __m128i*>(blk + 6));
-  const __m128 v01 =
-      _mm_shuffle_ps(_mm_castsi128_ps(r0), _mm_castsi128_ps(r1), _MM_SHUFFLE(2, 0, 2, 0));
-  const __m128 v23 =
-      _mm_shuffle_ps(_mm_castsi128_ps(r2), _mm_castsi128_ps(r3), _MM_SHUFFLE(2, 0, 2, 0));
-  const __m128i c01 = _mm_castps_si128(
-      _mm_shuffle_ps(_mm_castsi128_ps(r0), _mm_castsi128_ps(r1), _MM_SHUFFLE(3, 1, 3, 1)));
-  const __m128i c23 = _mm_castps_si128(
-      _mm_shuffle_ps(_mm_castsi128_ps(r2), _mm_castsi128_ps(r3), _MM_SHUFFLE(3, 1, 3, 1)));
+  // four vectors with no per-child branches.
+  const auto* blk = static_cast<const Node*>(__builtin_assume_aligned(pool_.block(base), 64));
+  f32x4 r[4];
+  __builtin_memcpy(r, blk, sizeof(r));
+  const f32x4 v01 = __builtin_shufflevector(r[0], r[1], 0, 2, 4, 6);
+  const f32x4 v23 = __builtin_shufflevector(r[2], r[3], 0, 2, 4, 6);
+  const auto c01 = std::bit_cast<i32x4>(__builtin_shufflevector(r[0], r[1], 1, 3, 5, 7));
+  const auto c23 = std::bit_cast<i32x4>(__builtin_shufflevector(r[2], r[3], 1, 3, 5, 7));
 
-  const __m128i unknown = _mm_set1_epi32(Node::kUnknownChild);
-  const __m128 u01 = _mm_castsi128_ps(_mm_cmpeq_epi32(c01, unknown));
-  const __m128 u23 = _mm_castsi128_ps(_mm_cmpeq_epi32(c23, unknown));
-  const __m128 neg_inf = _mm_set1_ps(-std::numeric_limits<float>::infinity());
-  const __m128 k01 = _mm_or_ps(_mm_and_ps(u01, neg_inf), _mm_andnot_ps(u01, v01));
-  const __m128 k23 = _mm_or_ps(_mm_and_ps(u23, neg_inf), _mm_andnot_ps(u23, v23));
-  __m128 m = _mm_max_ps(k01, k23);
-  m = _mm_max_ps(m, _mm_shuffle_ps(m, m, _MM_SHUFFLE(1, 0, 3, 2)));
-  m = _mm_max_ps(m, _mm_shuffle_ps(m, m, _MM_SHUFFLE(2, 3, 0, 1)));
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  const f32x4 neg_inf = {kNegInf, kNegInf, kNegInf, kNegInf};
+  f32x4 m = max4(c01 == Node::kUnknownChild ? neg_inf : v01,
+                 c23 == Node::kUnknownChild ? neg_inf : v23);
+  m = max4(m, __builtin_shufflevector(m, m, 2, 3, 0, 1));
+  m = max4(m, __builtin_shufflevector(m, m, 1, 0, 3, 2));
   // The update path guarantees at least one known child below.
-  node.value = _mm_cvtss_f32(m);
+  node.value = m[0];
 
-  const __m128i leaf_tag = _mm_set1_epi32(Node::kLeafChild);
-  const int leaf_mask =
-      _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(c01, leaf_tag))) |
-      (_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(c23, leaf_tag))) << 4);
-  if (leaf_mask != 0xFF) return false;
+  if (!all_lanes((c01 == Node::kLeafChild) & (c23 == Node::kLeafChild))) return false;
 
   stats_.prune_checks++;
-  const __m128 first_splat = _mm_shuffle_ps(v01, v01, _MM_SHUFFLE(0, 0, 0, 0));
-  const int eq_mask = _mm_movemask_ps(_mm_cmpeq_ps(v01, first_splat)) |
-                      (_mm_movemask_ps(_mm_cmpeq_ps(v23, first_splat)) << 4);
-  if (eq_mask != 0xFF) return false;
-  const float first = blk[0].value;
-#else
-  bool all_known_leaves = true;
-  float max_value = -std::numeric_limits<float>::infinity();
-  for (int i = 0; i < 8; ++i) {
-    const Node& child = pool_[static_cast<std::size_t>(base + i)];
-    if (child.is_unknown()) {
-      all_known_leaves = false;
-      continue;
-    }
-    max_value = std::max(max_value, child.value);
-    if (!child.is_leaf()) all_known_leaves = false;
-  }
-  // The update path guarantees at least one known child below.
-  node.value = max_value;
-
-  if (!all_known_leaves) return false;
-
-  stats_.prune_checks++;
-  const float first = pool_[static_cast<std::size_t>(base)].value;
-  for (int i = 1; i < 8; ++i) {
-    if (pool_[static_cast<std::size_t>(base + i)].value != first) return false;
-  }
-#endif
+  const f32x4 first_splat = __builtin_shufflevector(v01, v01, 0, 0, 0, 0);
+  if (!all_lanes((v01 == first_splat) & (v23 == first_splat))) return false;
+  const float first = v01[0];
   // All eight children are identical leaves: collapse them (paper Fig. 2b).
   free_block(base);
   node.make_leaf(first);
@@ -686,12 +667,11 @@ uint64_t OccupancyOctree::content_hash() const {
 }
 
 uint64_t hash_leaf_records(const std::vector<LeafRecord>& records) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
+  uint64_t h = kFnv1aOffsetBasis;
   const auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
+    unsigned char le[8];  // little-endian on every host
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
+    h = fnv1a(le, sizeof(le), h);
   };
   for (const LeafRecord& rec : records) {
     mix(rec.key.packed());

@@ -14,9 +14,9 @@
 //    slots.
 //  * The root-to-leaf descent consumes a precomputed 48-bit Morton
 //    interleave of the key (3 bits per level) and the bottom-up parent
-//    update runs an SSE2 kernel over each one-line child block when the
-//    build enables OMU_SIMD (portable scalar fallback otherwise; both
-//    paths produce identical trees and identical PhaseStats).
+//    update reduces each one-line child block with 4-lane vector code
+//    written once in GCC/Clang vector extensions (SSE2 on x86-64, NEON on
+//    AArch64).
 // The update/prune/expand semantics — log-odds addition with clamping,
 // parent = max(children), prune when all 8 children are equal leaves,
 // early abort on saturated leaves — follow OctoMap exactly, and are

@@ -93,10 +93,11 @@ class KeyCoder {
 
   /// Key of the voxel containing coordinate `x` along one axis, or
   /// std::nullopt if it falls outside the representable key space.
+  /// NaN, +-Inf and out-of-range coordinates fail the check in the
+  /// double domain, before any integer conversion.
   std::optional<uint16_t> axis_key(double x) const {
-    const auto cell = static_cast<int64_t>(std::floor(x * inv_resolution_));
-    const int64_t shifted = cell + kKeyOrigin;
-    if (shifted < 0 || shifted > 0xFFFF) return std::nullopt;
+    const double shifted = std::floor(x * inv_resolution_) + kKeyOrigin;
+    if (!(shifted >= 0.0 && shifted <= 65535.0)) return std::nullopt;
     return static_cast<uint16_t>(shifted);
   }
 

@@ -1,50 +1,26 @@
 #include "map/octree_io.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "map/framed_record.hpp"
 
 namespace omu::map {
 
 namespace {
 
-// Format v2: magic + u64 payload size + payload + u64 FNV-1a of the
-// payload. The trailing checksum turns any bit corruption — not just
-// structural damage — into a clean read error instead of a silently
-// different map. v1 files (unframed, no checksum) are still readable.
+// Format v2 is a framed record (framed_record.hpp). v1 files (unframed, no
+// checksum) are still readable.
 constexpr char kMagic[8] = {'O', 'M', 'U', 'T', 'R', 'E', 'E', '2'};
 constexpr char kMagicV1[8] = {'O', 'M', 'U', 'T', 'R', 'E', 'E', '1'};
+constexpr const char* kWhat = "OctreeIo";
 
 /// Upper bound on a plausible serialized tree (the 5-byte/node payload of
 /// a fully expanded pool would be far below this); anything larger is a
 /// corrupt size field and must not be handed to the allocator.
 constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 32;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("OctreeIo: truncated stream");
-  return v;
-}
-
-uint64_t fnv1a(const std::string& bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -60,12 +36,7 @@ void OctreeIo::write(const OccupancyOctree& tree, std::ostream& os) {
   write_pod(payload, static_cast<uint8_t>(p.quantized ? 1 : 0));
   write_recurs(tree, 0, payload);
 
-  const std::string bytes = std::move(payload).str();
-  os.write(kMagic, sizeof(kMagic));
-  write_pod(os, static_cast<uint64_t>(bytes.size()));
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  write_pod(os, fnv1a(bytes));
-  if (!os) throw std::runtime_error("OctreeIo: write failure");
+  write_framed_record(os, kMagic, std::move(payload).str(), kWhat);
 }
 
 void OctreeIo::write_recurs(const OccupancyOctree& tree, int32_t node_idx, std::ostream& os) {
@@ -93,41 +64,21 @@ OccupancyOctree OctreeIo::read(std::istream& is) {
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("OctreeIo: bad magic");
   }
-  const auto payload_size = read_pod<uint64_t>(is);
-  if (payload_size > kMaxPayloadBytes) {
-    throw std::runtime_error("OctreeIo: implausible payload size (corrupt stream)");
-  }
-  // Read in bounded chunks so a corrupt (inflated) size field fails on the
-  // actual stream length instead of committing a giant upfront allocation.
-  std::string bytes;
-  char chunk[64 * 1024];
-  for (uint64_t remaining = payload_size; remaining > 0;) {
-    const auto n = static_cast<std::streamsize>(
-        std::min<uint64_t>(remaining, sizeof(chunk)));
-    is.read(chunk, n);
-    if (!is) throw std::runtime_error("OctreeIo: truncated stream");
-    bytes.append(chunk, static_cast<std::size_t>(n));
-    remaining -= static_cast<uint64_t>(n);
-  }
-  const auto stored_hash = read_pod<uint64_t>(is);
-  if (stored_hash != fnv1a(bytes)) {
-    throw std::runtime_error("OctreeIo: checksum mismatch (corrupt stream)");
-  }
-
-  std::istringstream payload(std::move(bytes), std::ios::binary);
+  std::istringstream payload(read_framed_payload(is, kMaxPayloadBytes, kWhat),
+                             std::ios::binary);
   return read_payload(payload);
 }
 
 OccupancyOctree OctreeIo::read_payload(std::istream& is) {
-  const double resolution = read_pod<double>(is);
+  const double resolution = read_pod<double>(is, kWhat);
   if (!(resolution > 0.0)) throw std::runtime_error("OctreeIo: invalid resolution");
   OccupancyParams p;
-  p.log_hit = read_pod<float>(is);
-  p.log_miss = read_pod<float>(is);
-  p.clamp_min = read_pod<float>(is);
-  p.clamp_max = read_pod<float>(is);
-  p.occ_threshold = read_pod<float>(is);
-  p.quantized = read_pod<uint8_t>(is) != 0;
+  p.log_hit = read_pod<float>(is, kWhat);
+  p.log_miss = read_pod<float>(is, kWhat);
+  p.clamp_min = read_pod<float>(is, kWhat);
+  p.clamp_max = read_pod<float>(is, kWhat);
+  p.occ_threshold = read_pod<float>(is, kWhat);
+  p.quantized = read_pod<uint8_t>(is, kWhat) != 0;
 
   OccupancyOctree tree(resolution, p);
   read_recurs(is, tree, 0, 0);
@@ -135,17 +86,17 @@ OccupancyOctree OctreeIo::read_payload(std::istream& is) {
 }
 
 void OctreeIo::read_recurs(std::istream& is, OccupancyOctree& tree, int32_t node_idx, int depth) {
-  const auto state = static_cast<NodeState>(read_pod<uint8_t>(is));
+  const auto state = static_cast<NodeState>(read_pod<uint8_t>(is, kWhat));
   switch (state) {
     case NodeState::kUnknown:
       tree.pool_[static_cast<std::size_t>(node_idx)].make_unknown();
       return;
     case NodeState::kLeaf:
-      tree.pool_[static_cast<std::size_t>(node_idx)].make_leaf(read_pod<float>(is));
+      tree.pool_[static_cast<std::size_t>(node_idx)].make_leaf(read_pod<float>(is, kWhat));
       return;
     case NodeState::kInner: {
       if (depth >= kTreeDepth) throw std::runtime_error("OctreeIo: inner node below max depth");
-      const float value = read_pod<float>(is);
+      const float value = read_pod<float>(is, kWhat);
       const int32_t base = tree.alloc_block();
       auto& node = tree.pool_[static_cast<std::size_t>(node_idx)];
       node.value = value;

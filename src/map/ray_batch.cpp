@@ -48,17 +48,18 @@ void RayBatchPlanner::prepare(const geom::PointCloud& world_points, const geom::
   }
 
   // Stage 1: clip + ray geometry.
-  const auto prepare_fn = force_scalar_ ? &kernels::prepare_rays_scalar : &kernels::prepare_rays;
-  prepare_fn(end_x_.data(), end_y_.data(), end_z_.data(), n, origin.x, origin.y, origin.z,
-             max_range, dir_x_.data(), dir_y_.data(), dir_z_.data(), length_.data(),
-             truncated_.data());
+  kernels::prepare_rays(end_x_.data(), end_y_.data(), end_z_.data(), n, origin.x, origin.y,
+                        origin.z, max_range, dir_x_.data(), dir_y_.data(), dir_z_.data(),
+                        length_.data(), truncated_.data());
 
   // Stage 2: endpoint quantization (KeyCoder::axis_key semantics).
   const double inv_res = 1.0 / coder_->resolution();
-  const auto quantize_fn = force_scalar_ ? &kernels::quantize_axis_scalar : &kernels::quantize_axis;
-  quantize_fn(end_x_.data(), n, inv_res, kKeyOrigin, end_key_x_.data(), end_key_valid_x_.data());
-  quantize_fn(end_y_.data(), n, inv_res, kKeyOrigin, end_key_y_.data(), end_key_valid_y_.data());
-  quantize_fn(end_z_.data(), n, inv_res, kKeyOrigin, end_key_z_.data(), end_key_valid_z_.data());
+  kernels::quantize_axis(end_x_.data(), n, inv_res, kKeyOrigin, end_key_x_.data(),
+                         end_key_valid_x_.data());
+  kernels::quantize_axis(end_y_.data(), n, inv_res, kKeyOrigin, end_key_y_.data(),
+                         end_key_valid_y_.data());
+  kernels::quantize_axis(end_z_.data(), n, inv_res, kKeyOrigin, end_key_z_.data(),
+                         end_key_valid_z_.data());
 
   // The scan origin is shared by every ray: quantize it once.
   const auto origin_key = coder_->key_for(origin);
@@ -72,21 +73,20 @@ void RayBatchPlanner::prepare(const geom::PointCloud& world_points, const geom::
   // a + (-b)).
   const double res = coder_->resolution();
   const double half = 0.5 * res;
-  const auto setup_fn = force_scalar_ ? &kernels::dda_setup_axis_scalar : &kernels::dda_setup_axis;
   {
     const double c = coder_->axis_coord(origin_key_[0]);
-    setup_fn(dir_x_.data(), n, origin.x, c + half, c - half, res, step_x_.data(),
-             t_max_x_.data(), t_delta_x_.data());
+    kernels::dda_setup_axis(dir_x_.data(), n, origin.x, c + half, c - half, res,
+                            step_x_.data(), t_max_x_.data(), t_delta_x_.data());
   }
   {
     const double c = coder_->axis_coord(origin_key_[1]);
-    setup_fn(dir_y_.data(), n, origin.y, c + half, c - half, res, step_y_.data(),
-             t_max_y_.data(), t_delta_y_.data());
+    kernels::dda_setup_axis(dir_y_.data(), n, origin.y, c + half, c - half, res,
+                            step_y_.data(), t_max_y_.data(), t_delta_y_.data());
   }
   {
     const double c = coder_->axis_coord(origin_key_[2]);
-    setup_fn(dir_z_.data(), n, origin.z, c + half, c - half, res, step_z_.data(),
-             t_max_z_.data(), t_delta_z_.data());
+    kernels::dda_setup_axis(dir_z_.data(), n, origin.z, c + half, c - half, res,
+                            step_z_.data(), t_max_z_.data(), t_delta_z_.data());
   }
 }
 

@@ -6,11 +6,11 @@
 // that loop data-oriented: one prepare() lays the whole scan out as
 // structure-of-arrays (clipped endpoints, unit directions, lengths,
 // truncation flags, per-axis endpoint keys, per-axis DDA setup), computed
-// by the geom/kernels batch kernels (SIMD when OMU_SIMD is on, portable
-// scalar otherwise — bitwise identical either way). The per-ray DDA walk
-// that consumes the plan stays serial — each step depends on the previous
-// cell — and is shared with the single-ray path (ray_keys.hpp: dda_walk),
-// so batch and per-ray traversals are the same code and the same bits.
+// by the geom/kernels batch kernels with the same bits as the per-ray
+// compute_ray_keys arithmetic. The per-ray DDA walk that consumes the plan
+// stays serial — each step depends on the previous cell — and is shared
+// with the single-ray path (ray_keys.hpp: dda_walk), so batch and per-ray
+// traversals are the same code and the same bits.
 //
 // All buffers are members reused scan over scan (reserve-once growth), so
 // steady-state scan streaming performs no per-scan allocations beyond
@@ -33,10 +33,6 @@ class RayBatchPlanner {
   explicit RayBatchPlanner(const KeyCoder& coder) : coder_(&coder) {}
 
   const KeyCoder& coder() const { return *coder_; }
-
-  /// When set, prepare() uses the portable scalar kernel variants even in
-  /// a SIMD build — the reference path for equivalence tests and benches.
-  void set_force_scalar(bool force) { force_scalar_ = force; }
 
   /// Builds the plan for one scan: clips every endpoint to `max_range`
   /// (non-positive = unlimited), quantizes endpoint keys, and computes the
@@ -86,7 +82,6 @@ class RayBatchPlanner {
   void resize_buffers(std::size_t n);
 
   const KeyCoder* coder_;
-  bool force_scalar_ = false;
 
   bool origin_valid_ = false;
   OcKey origin_key_{};

@@ -10,10 +10,10 @@
 //
 // Internally the generator is data-oriented: a RayBatchPlanner
 // (ray_batch.hpp) lays the whole scan out as SoA arrays and batch-computes
-// clip/quantize/DDA-setup through the geom/kernels layer (SIMD when
-// OMU_SIMD is on); only the serial per-ray DDA walk and the sink dispatch
-// remain in the loop below. The per-ray semantics are unchanged bit for
-// bit from the legacy one-point-at-a-time pipeline.
+// clip/quantize/DDA-setup through the geom/kernels layer; only the serial
+// per-ray DDA walk and the sink dispatch remain in the loop below. The
+// per-ray semantics are unchanged bit for bit from the legacy
+// one-point-at-a-time pipeline.
 #pragma once
 
 #include <optional>

@@ -8,7 +8,8 @@
 //   u64  request_id correlates a reply with its request (0 for events)
 //   u32  payload_len
 //   ...  payload    little-endian fields, message-specific (messages.hpp)
-//   u64  checksum   FNV-1a over header (sans checksum) and payload
+//   u64  checksum   FNV-1a over header (sans checksum) and payload,
+//                   seeded with kWireChecksumSeed
 //
 // This is octree_io v2's framing discipline applied to a socket: explicit
 // length, version gate, and a trailing FNV-1a checksum so a truncated,
@@ -54,8 +55,10 @@ inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 /// Replies echo the request's type with this bit set.
 inline constexpr uint16_t kReplyBit = 0x8000;
 
-/// FNV-1a 64-bit — the same checksum octree_io v2 trails its streams with.
-uint64_t fnv1a(const uint8_t* data, std::size_t size, uint64_t seed = 1469598103934665603ull);
+/// Seed of the frame checksum (map::fnv1a). Not the standard FNV-1a offset
+/// basis (that is 14695981039346656037); it is part of the wire format, so
+/// it stays.
+inline constexpr uint64_t kWireChecksumSeed = 1469598103934665603ull;
 
 /// One decoded frame.
 struct Frame {

@@ -3,42 +3,24 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "map/framed_record.hpp"
 
 namespace omu::world {
 
 namespace {
 
 constexpr char kMagic[8] = {'O', 'M', 'U', 'W', 'R', 'L', 'D', '1'};
+constexpr const char* kWhat = "WorldManifest";
 
 /// Upper bound on a plausible manifest payload; a corrupt length field
 /// must not be handed to the allocator (same guard as octree_io).
 constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 28;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("WorldManifest: truncated stream");
-  return v;
-}
-
-uint64_t fnv1a(const std::string& bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
+using map::read_pod;
+using map::write_pod;
 
 }  // namespace
 
@@ -61,12 +43,7 @@ void WorldManifest::write(std::ostream& os) const {
     write_pod(payload, tile.leaf_count);
   }
 
-  const std::string bytes = std::move(payload).str();
-  os.write(kMagic, sizeof(kMagic));
-  write_pod(os, static_cast<uint64_t>(bytes.size()));
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  write_pod(os, fnv1a(bytes));
-  if (!os) throw std::runtime_error("WorldManifest: write failure");
+  map::write_framed_record(os, kMagic, std::move(payload).str(), kWhat);
 }
 
 WorldManifest WorldManifest::read(std::istream& is) {
@@ -75,50 +52,39 @@ WorldManifest WorldManifest::read(std::istream& is) {
   if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("WorldManifest: bad magic");
   }
-  const auto payload_size = read_pod<uint64_t>(is);
-  if (payload_size > kMaxPayloadBytes) {
-    throw std::runtime_error("WorldManifest: implausible payload size (corrupt stream)");
-  }
-  std::string bytes(static_cast<std::size_t>(payload_size), '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!is) throw std::runtime_error("WorldManifest: truncated stream");
-  const auto stored_hash = read_pod<uint64_t>(is);
-  if (stored_hash != fnv1a(bytes)) {
-    throw std::runtime_error("WorldManifest: checksum mismatch (corrupt stream)");
-  }
-
-  std::istringstream payload(std::move(bytes), std::ios::binary);
+  const std::string bytes = map::read_framed_payload(is, kMaxPayloadBytes, kWhat);
+  std::istringstream payload(bytes, std::ios::binary);
   WorldManifest m;
-  m.resolution = read_pod<double>(payload);
+  m.resolution = read_pod<double>(payload, kWhat);
   if (!(m.resolution > 0.0)) throw std::runtime_error("WorldManifest: invalid resolution");
-  m.params.log_hit = read_pod<float>(payload);
-  m.params.log_miss = read_pod<float>(payload);
-  m.params.clamp_min = read_pod<float>(payload);
-  m.params.clamp_max = read_pod<float>(payload);
-  m.params.occ_threshold = read_pod<float>(payload);
-  m.params.quantized = read_pod<uint8_t>(payload) != 0;
-  m.tile_shift = static_cast<int>(read_pod<int32_t>(payload));
+  m.params.log_hit = read_pod<float>(payload, kWhat);
+  m.params.log_miss = read_pod<float>(payload, kWhat);
+  m.params.clamp_min = read_pod<float>(payload, kWhat);
+  m.params.clamp_max = read_pod<float>(payload, kWhat);
+  m.params.occ_threshold = read_pod<float>(payload, kWhat);
+  m.params.quantized = read_pod<uint8_t>(payload, kWhat) != 0;
+  m.tile_shift = static_cast<int>(read_pod<int32_t>(payload, kWhat));
   if (m.tile_shift < 1 || m.tile_shift > map::kTreeDepth) {
     throw std::runtime_error("WorldManifest: invalid tile_shift");
   }
-  const auto tile_count = read_pod<uint64_t>(payload);
+  const auto tile_count = read_pod<uint64_t>(payload, kWhat);
   // 5 pods = 22 bytes per entry; a count the payload cannot hold is corrupt.
-  if (tile_count > payload_size / 22) {
+  if (tile_count > bytes.size() / 22) {
     throw std::runtime_error("WorldManifest: implausible tile count (corrupt stream)");
   }
   const uint32_t tiles_per_axis = 1u << (map::kTreeDepth - m.tile_shift);
   m.tiles.reserve(static_cast<std::size_t>(tile_count));
   for (uint64_t i = 0; i < tile_count; ++i) {
     TileEntry tile;
-    tile.coord.tx = read_pod<uint16_t>(payload);
-    tile.coord.ty = read_pod<uint16_t>(payload);
-    tile.coord.tz = read_pod<uint16_t>(payload);
+    tile.coord.tx = read_pod<uint16_t>(payload, kWhat);
+    tile.coord.ty = read_pod<uint16_t>(payload, kWhat);
+    tile.coord.tz = read_pod<uint16_t>(payload, kWhat);
     if (tile.coord.tx >= tiles_per_axis || tile.coord.ty >= tiles_per_axis ||
         tile.coord.tz >= tiles_per_axis) {
       throw std::runtime_error("WorldManifest: tile coordinate out of range");
     }
-    tile.content_hash = read_pod<uint64_t>(payload);
-    tile.leaf_count = read_pod<uint64_t>(payload);
+    tile.content_hash = read_pod<uint64_t>(payload, kWhat);
+    tile.leaf_count = read_pod<uint64_t>(payload, kWhat);
     m.tiles.push_back(tile);
   }
   return m;

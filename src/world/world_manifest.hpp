@@ -8,7 +8,7 @@
 // a tile file is the one the manifest promised (a swapped or stale file
 // fails with a clean error naming the tile, not a silently wrong map).
 //
-// Layout on disk (binary, octree_io v2 framing style):
+// Layout on disk (a framed record, map/framed_record.hpp, as octree_io v2):
 //   magic "OMUWRLD1" | u64 payload length | payload | u64 FNV-1a(payload)
 // so truncation and bit corruption are rejected with std::runtime_error —
 // the same contract tests/map/test_octree_io.cpp fuzzes for tile files.

@@ -3,7 +3,9 @@
 // immutability guarantees.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <omu/omu.hpp>
 
@@ -42,7 +44,7 @@ TEST(MapperLifecycle, FlushPublishesNewEpochsAndCountsStats) {
 
   // New content publishes a new epoch.
   const float point[] = {4.0f, 2.0f, 1.0f};
-  ASSERT_TRUE(mapper.insert_scan(point, 1, Vec3{0, 0, 0}).ok());
+  ASSERT_TRUE(mapper.insert(point, 1, Vec3{0, 0, 0}).ok());
   ASSERT_TRUE(mapper.flush().ok());
   EXPECT_GT(mapper.snapshot().value().epoch(), first_epoch);
 
@@ -91,7 +93,7 @@ TEST(MapperLifecycle, EveryCallFailsClosedAfterClose) {
   EXPECT_TRUE(mapper.close().ok());  // idempotent
 
   const float xyz[3] = {1.0f, 0.0f, 0.0f};
-  EXPECT_EQ(mapper.insert_scan(xyz, 1, Vec3{0, 0, 0}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(mapper.insert(xyz, 1, Vec3{0, 0, 0}).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapper.flush().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapper.snapshot().status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapper.classify(Vec3{0, 0, 0}).status().code(), StatusCode::kFailedPrecondition);
@@ -106,10 +108,36 @@ TEST(MapperLifecycle, EveryCallFailsClosedAfterClose) {
 
 TEST(MapperLifecycle, InsertRejectsNullPointsWithoutThrowing) {
   Mapper mapper = Mapper::create(MapperConfig()).value();
-  EXPECT_EQ(mapper.insert_scan(nullptr, 3, Vec3{0, 0, 0}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(mapper.insert_rays(nullptr, 2).code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(mapper.insert_scan(nullptr, 0, Vec3{0, 0, 0}).ok());  // empty scan is fine
-  EXPECT_TRUE(mapper.insert_rays(nullptr, 0).ok());
+  EXPECT_EQ(mapper.insert(nullptr, 3, Vec3{0, 0, 0}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mapper.insert(nullptr, 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(mapper.insert(nullptr, 0, Vec3{0, 0, 0}).ok());  // empty scan is fine
+  EXPECT_TRUE(mapper.insert(nullptr, 0).ok());
+}
+
+TEST(MapperLifecycle, NonFiniteAndHugeCoordinatesInsertOk) {
+  // NaN, +-Inf and +-1e30 endpoints quantize outside the key space, so
+  // their rays are skipped: the map matches one fed only the finite point.
+  // A NaN origin invalidates the whole scan the same way.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xyz = {kNaN,   0.0f, 0.0f,
+                                  kInf,   1.0f, 1.0f,
+                                  -kInf,  1.0f, 1.0f,
+                                  1e30f,  2.0f, 1.0f,
+                                  -1e30f, 2.0f, 1.0f,
+                                  4.0f,   2.0f, 1.0f,  // the only finite endpoint
+                                  0.0f,   kNaN, 1.0f};
+  Mapper mapper = Mapper::create(MapperConfig()).value();
+  ASSERT_TRUE(mapper.insert(xyz.data(), xyz.size() / 3, Vec3{0, 0, 0}).ok());
+  ASSERT_TRUE(mapper.insert(xyz.data(), xyz.size() / 3, Vec3{0, kNaN, 0}).ok());
+  ASSERT_TRUE(mapper.flush().ok());
+
+  Mapper reference = Mapper::create(MapperConfig()).value();
+  const float finite[] = {4.0f, 2.0f, 1.0f};
+  ASSERT_TRUE(reference.insert(finite, 1, Vec3{0, 0, 0}).ok());
+  ASSERT_TRUE(reference.flush().ok());
+  EXPECT_GT(reference.snapshot().value().leaf_count(), 0u);
+  EXPECT_EQ(mapper.content_hash().value(), reference.content_hash().value());
 }
 
 TEST(MapperLifecycle, SaveMapRoundTripsOnFileBackends) {

@@ -1,11 +1,8 @@
-// The scalar/SIMD bit-identity contract of the hot-path batch kernels
-// (src/geom/kernels/): for every kernel, the dispatching variant must
-// produce bitwise-identical outputs to the `_scalar` reference on every
-// input — including the edge rays (zero-length, axis-aligned, max_range-
-// truncated, negative coordinates) — and the scalar reference must match
-// the legacy per-ray pipeline's arithmetic. In an OMU_SIMD=OFF build the
-// dispatchers alias the scalar path and these tests pass trivially; the
-// CI matrix runs both configurations.
+// The hot-path batch kernels (src/geom/kernels/) against their per-element
+// and per-ray references: every kernel must reproduce the legacy per-ray
+// pipeline's arithmetic bit for bit on every input — including the edge
+// rays (zero-length, axis-aligned, max_range-truncated, negative
+// coordinates) and, for quantization, non-finite and huge coordinates.
 #include "geom/kernels/key_kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +15,6 @@
 
 #include "geom/kernels/logodds_kernels.hpp"
 #include "geom/kernels/ray_kernels.hpp"
-#include "geom/kernels/simd.hpp"
 #include "geom/rng.hpp"
 #include "map/ockey.hpp"
 #include "map/ray_generator.hpp"
@@ -77,8 +73,6 @@ TEST(KeyKernels, Packed48MatchesOcKeyPacked) {
 
 TEST(KeyKernels, BatchVariantsMatchScalarAndElementwise) {
   SplitMix64 rng(13);
-  // Every length up to a few vector widths, so the SIMD main loop and the
-  // scalar tail are both exercised at every tail size.
   for (std::size_t n = 0; n <= 37; ++n) {
     std::vector<uint16_t> x(n), y(n), z(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -86,16 +80,10 @@ TEST(KeyKernels, BatchVariantsMatchScalarAndElementwise) {
       y[i] = static_cast<uint16_t>(rng.next_below(0x10000));
       z[i] = static_cast<uint16_t>(rng.next_below(0x10000));
     }
-    std::vector<uint64_t> m_dispatch(n), m_scalar(n), p_dispatch(n), p_scalar(n);
-    morton48_batch(x.data(), y.data(), z.data(), n, m_dispatch.data());
-    morton48_batch_scalar(x.data(), y.data(), z.data(), n, m_scalar.data());
-    packed48_batch(x.data(), y.data(), z.data(), n, p_dispatch.data());
-    packed48_batch_scalar(x.data(), y.data(), z.data(), n, p_scalar.data());
+    std::vector<uint64_t> packed(n);
+    packed48_batch(x.data(), y.data(), z.data(), n, packed.data());
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(m_dispatch[i], m_scalar[i]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(m_dispatch[i], morton48(x[i], y[i], z[i])) << "n=" << n << " i=" << i;
-      EXPECT_EQ(p_dispatch[i], p_scalar[i]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(p_dispatch[i], packed48(x[i], y[i], z[i])) << "n=" << n << " i=" << i;
+      EXPECT_EQ(packed[i], packed48(x[i], y[i], z[i])) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -115,20 +103,26 @@ TEST(KeyKernels, QuantizeAxisMatchesKeyCoder) {
   coords.insert(coords.end(),
                 {0.0, -0.0, res * 0.5, -res * 0.5, -32768.0 * res, -32768.0 * res - 1e-9,
                  32767.0 * res, 32768.0 * res, 1e9, -1e9});
+  // Non-finite and huge coordinates are invalid in both, and must be
+  // rejected before floor(x / res) reaches an integer conversion (undefined
+  // behaviour for NaN, infinities and anything beyond 2^63).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> invalid{std::numeric_limits<double>::quiet_NaN(), kInf, -kInf,
+                                    1e30, -1e30};
+  coords.insert(coords.end(), invalid.begin(), invalid.end());
 
   const std::size_t n = coords.size();
-  std::vector<uint16_t> key_d(n), key_s(n);
-  std::vector<uint8_t> valid_d(n), valid_s(n);
-  quantize_axis(coords.data(), n, 1.0 / res, map::kKeyOrigin, key_d.data(), valid_d.data());
-  quantize_axis_scalar(coords.data(), n, 1.0 / res, map::kKeyOrigin, key_s.data(),
-                       valid_s.data());
+  std::vector<uint16_t> keys(n);
+  std::vector<uint8_t> valid(n);
+  quantize_axis(coords.data(), n, 1.0 / res, map::kKeyOrigin, keys.data(), valid.data());
 
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(key_d[i], key_s[i]) << "coord " << coords[i];
-    EXPECT_EQ(valid_d[i], valid_s[i]) << "coord " << coords[i];
     const auto expected = coder.axis_key(coords[i]);
-    EXPECT_EQ(valid_s[i] != 0, expected.has_value()) << "coord " << coords[i];
-    if (expected) EXPECT_EQ(key_s[i], *expected) << "coord " << coords[i];
+    EXPECT_EQ(valid[i] != 0, expected.has_value()) << "coord " << coords[i];
+    if (expected) EXPECT_EQ(keys[i], *expected) << "coord " << coords[i];
+  }
+  for (std::size_t i = n - invalid.size(); i < n; ++i) {
+    EXPECT_EQ(valid[i], 0) << "coord " << coords[i];
   }
 }
 
@@ -159,37 +153,6 @@ std::vector<Vec3d> edge_ray_endpoints(SplitMix64& rng, const Vec3d& origin) {
   return ends;
 }
 
-TEST(RayKernels, PrepareRaysSimdMatchesScalarBitwise) {
-  SplitMix64 rng(15);
-  const Vec3d origin{0.31, -0.47, 0.11};
-  for (const double max_range : {-1.0, 6.0}) {
-    const auto ends = edge_ray_endpoints(rng, origin);
-    const std::size_t n = ends.size();
-    RaySoA a(n), b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a.end_x[i] = b.end_x[i] = ends[i].x;
-      a.end_y[i] = b.end_y[i] = ends[i].y;
-      a.end_z[i] = b.end_z[i] = ends[i].z;
-    }
-    prepare_rays(a.end_x.data(), a.end_y.data(), a.end_z.data(), n, origin.x, origin.y, origin.z,
-                 max_range, a.dir_x.data(), a.dir_y.data(), a.dir_z.data(), a.length.data(),
-                 a.truncated.data());
-    prepare_rays_scalar(b.end_x.data(), b.end_y.data(), b.end_z.data(), n, origin.x, origin.y,
-                        origin.z, max_range, b.dir_x.data(), b.dir_y.data(), b.dir_z.data(),
-                        b.length.data(), b.truncated.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      expect_bits_eq(a.end_x[i], b.end_x[i], "end_x", i);
-      expect_bits_eq(a.end_y[i], b.end_y[i], "end_y", i);
-      expect_bits_eq(a.end_z[i], b.end_z[i], "end_z", i);
-      expect_bits_eq(a.dir_x[i], b.dir_x[i], "dir_x", i);
-      expect_bits_eq(a.dir_y[i], b.dir_y[i], "dir_y", i);
-      expect_bits_eq(a.dir_z[i], b.dir_z[i], "dir_z", i);
-      expect_bits_eq(a.length[i], b.length[i], "length", i);
-      EXPECT_EQ(a.truncated[i], b.truncated[i]) << i;
-    }
-  }
-}
-
 TEST(RayKernels, PrepareRaysMatchesLegacyPerRayClip) {
   SplitMix64 rng(16);
   const Vec3d origin{-1.2, 0.8, 0.4};
@@ -202,9 +165,9 @@ TEST(RayKernels, PrepareRaysMatchesLegacyPerRayClip) {
       s.end_y[i] = ends[i].y;
       s.end_z[i] = ends[i].z;
     }
-    prepare_rays_scalar(s.end_x.data(), s.end_y.data(), s.end_z.data(), n, origin.x, origin.y,
-                        origin.z, max_range, s.dir_x.data(), s.dir_y.data(), s.dir_z.data(),
-                        s.length.data(), s.truncated.data());
+    prepare_rays(s.end_x.data(), s.end_y.data(), s.end_z.data(), n, origin.x, origin.y, origin.z,
+                 max_range, s.dir_x.data(), s.dir_y.data(), s.dir_z.data(), s.length.data(),
+                 s.truncated.data());
     for (std::size_t i = 0; i < n; ++i) {
       // The legacy pipeline: clip the endpoint, then recompute d / length /
       // dir from the clipped endpoint exactly as compute_ray_keys does.
@@ -241,29 +204,23 @@ TEST(RayKernels, DdaSetupAxisMatchesPerRayReference) {
                          std::numeric_limits<double>::quiet_NaN()});  // zero-length ray dir
   const std::size_t n = dir.size();
 
-  std::vector<int8_t> step_d(n), step_s(n);
-  std::vector<double> t_max_d(n), t_max_s(n), t_delta_d(n), t_delta_s(n);
-  dda_setup_axis(dir.data(), n, origin, border_pos, border_neg, res, step_d.data(),
-                 t_max_d.data(), t_delta_d.data());
-  dda_setup_axis_scalar(dir.data(), n, origin, border_pos, border_neg, res, step_s.data(),
-                        t_max_s.data(), t_delta_s.data());
+  std::vector<int8_t> steps(n);
+  std::vector<double> t_max(n), t_delta(n);
+  dda_setup_axis(dir.data(), n, origin, border_pos, border_neg, res, steps.data(),
+                 t_max.data(), t_delta.data());
 
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(step_d[i], step_s[i]) << "dir " << dir[i];
-    expect_bits_eq(t_max_d[i], t_max_s[i], "t_max", i);
-    expect_bits_eq(t_delta_d[i], t_delta_s[i], "t_delta", i);
-
     // Legacy per-ray setup (compute_ray_keys): sign, boundary distance over
     // dir, res over |dir|; infinities on the zero-step axes.
     const int step = dir[i] > 0.0 ? 1 : (dir[i] < 0.0 ? -1 : 0);
-    EXPECT_EQ(step_s[i], step) << "dir " << dir[i];
+    EXPECT_EQ(steps[i], step) << "dir " << dir[i];
     if (step != 0) {
       const double border = step > 0 ? border_pos : border_neg;
-      expect_bits_eq(t_max_s[i], (border - origin) / dir[i], "t_max_ref", i);
-      expect_bits_eq(t_delta_s[i], res / std::abs(dir[i]), "t_delta_ref", i);
+      expect_bits_eq(t_max[i], (border - origin) / dir[i], "t_max_ref", i);
+      expect_bits_eq(t_delta[i], res / std::abs(dir[i]), "t_delta_ref", i);
     } else {
-      EXPECT_EQ(t_max_s[i], std::numeric_limits<double>::infinity()) << i;
-      EXPECT_EQ(t_delta_s[i], std::numeric_limits<double>::infinity()) << i;
+      EXPECT_EQ(t_max[i], std::numeric_limits<double>::infinity()) << i;
+      EXPECT_EQ(t_delta[i], std::numeric_limits<double>::infinity()) << i;
     }
   }
 }
@@ -298,36 +255,6 @@ TEST(LogOddsKernels, UpdateSaturatesMatchesEarlyAbortCondition) {
   // A zero delta is saturated in both directions.
   EXPECT_TRUE(update_saturates(hi, 0.0f, lo, hi));
   EXPECT_TRUE(update_saturates(lo, 0.0f, lo, hi));
-}
-
-TEST(LogOddsKernels, BatchSaturatingAddMatchesScalar) {
-  SplitMix64 rng(19);
-  const float lo = -2.0f, hi = 3.5f;
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-                        std::size_t{7}, std::size_t{33}}) {
-    std::vector<float> values_a(n), values_b(n), deltas(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      values_a[i] = values_b[i] = static_cast<float>(rng.uniform(-3.0, 4.5));
-      deltas[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-    }
-    saturating_add_batch(values_a.data(), deltas.data(), n, lo, hi);
-    saturating_add_batch_scalar(values_b.data(), deltas.data(), n, lo, hi);
-    for (std::size_t i = 0; i < n; ++i) {
-      expect_bits_eq(values_a[i], values_b[i], "batch", i);
-    }
-  }
-}
-
-TEST(SimdToggle, ReportsConsistentConfiguration) {
-  if (simd_active()) {
-    EXPECT_STREQ(simd_isa(), "sse2");
-  } else {
-    EXPECT_STREQ(simd_isa(), "scalar");
-  }
-#if !OMU_SIMD_ENABLED
-  // An OMU_SIMD=OFF build must never dispatch to vector code.
-  EXPECT_FALSE(simd_active());
-#endif
 }
 
 }  // namespace

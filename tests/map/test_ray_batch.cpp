@@ -4,13 +4,11 @@
 // de-duplication per scan. The batch path must reproduce that pipeline's
 // traversals, endpoints, flags and PhaseStats exactly — including on the
 // edge rays (zero-length, axis-aligned, truncated, out-of-key-space,
-// negative coordinates) — and the planner must produce bitwise-identical
-// plans with and without SIMD kernels.
+// negative coordinates).
 #include "map/ray_batch.hpp"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <optional>
 #include <vector>
 
@@ -103,50 +101,6 @@ TEST(RayBatch, GeneratorMatchesLegacyPerRayPipeline) {
     }
     EXPECT_EQ(batch_stats.ray_casts, ref_stats.ray_casts);
     EXPECT_EQ(batch_stats.ray_cast_steps, ref_stats.ray_cast_steps);
-  }
-}
-
-TEST(RayBatch, ForceScalarPlannerIsBitwiseIdentical) {
-  const KeyCoder coder(0.2);
-  const geom::Vec3d origin{-0.42, 0.27, 0.09};
-  geom::PointCloud cloud = random_cloud(42, 300, 10.0);
-  cloud.append(edge_cloud(origin));
-
-  for (const double max_range : {-1.0, 4.0}) {
-    RayBatchPlanner simd_planner(coder);
-    RayBatchPlanner scalar_planner(coder);
-    scalar_planner.set_force_scalar(true);
-    simd_planner.prepare(cloud, origin, max_range);
-    scalar_planner.prepare(cloud, origin, max_range);
-
-    ASSERT_EQ(simd_planner.size(), cloud.size());
-    ASSERT_EQ(scalar_planner.size(), cloud.size());
-    EXPECT_EQ(simd_planner.origin_valid(), scalar_planner.origin_valid());
-    EXPECT_EQ(simd_planner.origin_key(), scalar_planner.origin_key());
-
-    for (std::size_t i = 0; i < cloud.size(); ++i) {
-      EXPECT_EQ(simd_planner.ray_valid(i), scalar_planner.ray_valid(i)) << i;
-      EXPECT_EQ(simd_planner.truncated(i), scalar_planner.truncated(i)) << i;
-      EXPECT_EQ(std::bit_cast<uint64_t>(simd_planner.length(i)),
-                std::bit_cast<uint64_t>(scalar_planner.length(i)))
-          << i;
-      if (!simd_planner.ray_valid(i)) continue;
-      EXPECT_EQ(simd_planner.end_key(i), scalar_planner.end_key(i)) << i;
-      if (simd_planner.end_key(i) == simd_planner.origin_key()) continue;
-      DdaState a, b;
-      simd_planner.init_dda(i, a);
-      scalar_planner.init_dda(i, b);
-      EXPECT_EQ(a.current, b.current) << i;
-      EXPECT_EQ(a.end, b.end) << i;
-      for (int axis = 0; axis < 3; ++axis) {
-        EXPECT_EQ(a.step[axis], b.step[axis]) << "ray " << i << " axis " << axis;
-        EXPECT_EQ(std::bit_cast<uint64_t>(a.t_max[axis]), std::bit_cast<uint64_t>(b.t_max[axis]))
-            << "ray " << i << " axis " << axis;
-        EXPECT_EQ(std::bit_cast<uint64_t>(a.t_delta[axis]),
-                  std::bit_cast<uint64_t>(b.t_delta[axis]))
-            << "ray " << i << " axis " << axis;
-      }
-    }
   }
 }
 
