@@ -1,5 +1,6 @@
 #include "map/map_backend.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
@@ -41,8 +42,11 @@ MapSnapshotDelta OctreeBackend::export_snapshot_delta(uint64_t since_generation)
   delta.params = tree_->params();
   delta.generation = harvest.generation;
   if (harvest.full) {
-    delta.leaves = tree_->leaves_sorted();
+    delta.leaves = tree_->leaves_dfs();
   } else {
+    // Size hint: the dirty branches' share of the arena bound.
+    delta.leaves.reserve(tree_->leaf_reserve_hint() *
+                         static_cast<std::size_t>(std::popcount(harvest.dirty_mask)) / 8);
     for (int b = 0; b < 8; ++b) {
       if (harvest.dirty_mask & (1u << b)) tree_->collect_branch_leaves(b, delta.leaves);
     }

@@ -32,11 +32,14 @@ class Telemetry;  // obs/telemetry.hpp
 namespace omu::map {
 
 /// Everything a backend exports to build an immutable map snapshot (see
-/// query::MapSnapshot): the canonical sorted leaf list plus the metric and
-/// sensor-model parameters needed to answer queries against it. Kept in
-/// the map layer so backends don't depend on the query layer.
+/// query::MapSnapshot): the leaf list plus the metric and sensor-model
+/// parameters needed to answer queries against it. Kept in the map layer
+/// so backends don't depend on the query layer.
 struct MapSnapshotData {
-  std::vector<LeafRecord> leaves;  ///< canonical (packed-key, depth) order
+  /// Any order. Depth-first (ascending (morton48, depth)) order — the
+  /// octree's native walk — is the snapshot builder's own and is taken
+  /// without a sort; any other order is sorted into it once.
+  std::vector<LeafRecord> leaves;
   double resolution = 0.2;
   OccupancyParams params{};
 };
@@ -53,8 +56,10 @@ struct MapSnapshotDelta {
   /// When !full: bit b set = branch b's complete leaf set is in `leaves`
   /// (an empty branch contributes no records but still counts as dirty).
   uint8_t dirty_mask = 0xFF;
-  /// The whole map (full) or the dirty branches' leaves, in canonical
-  /// (packed key, depth) order within each branch.
+  /// The whole map (full: any order, as MapSnapshotData::leaves) or the
+  /// dirty branches' leaves (!full: strictly ascending (morton48, depth),
+  /// i.e. each dirty branch's depth-first run, branches ascending — what
+  /// OccupancyOctree::collect_branch_leaves appends).
   std::vector<LeafRecord> leaves;
   double resolution = 0.2;
   OccupancyParams params{};
@@ -162,6 +167,11 @@ class OctreeBackend final : public MapBackend {
   Occupancy classify(const OcKey& key) override { return tree_->classify(key); }
   std::vector<LeafRecord> leaves_sorted() const override { return tree_->leaves_sorted(); }
   uint64_t content_hash() const override { return tree_->content_hash(); }
+  /// The tree's depth-first leaf walk, unsorted: the snapshot builder's
+  /// native order.
+  MapSnapshotData export_snapshot_data() const override {
+    return MapSnapshotData{tree_->leaves_dfs(), tree_->resolution(), tree_->params()};
+  }
   MapSnapshotDelta export_snapshot_delta(uint64_t since_generation) override;
   PhaseStats* ray_stats() override { return &tree_->stats(); }
 

@@ -589,31 +589,7 @@ void OccupancyOctree::count_recurs(int32_t node_idx, std::size_t& leaves,
   for (int i = 0; i < 8; ++i) count_recurs(node.children + i, leaves, inners);
 }
 
-void OccupancyOctree::for_each_leaf(
-    const std::function<void(const OcKey&, int, float)>& fn) const {
-  leaves_recurs(0, OcKey{}, 0, fn);
-}
-
-void OccupancyOctree::leaves_recurs(
-    int32_t node_idx, const OcKey& base, int depth,
-    const std::function<void(const OcKey&, int, float)>& fn) const {
-  const Node& node = pool_[static_cast<std::size_t>(node_idx)];
-  if (node.is_unknown()) return;
-  if (node.is_leaf()) {
-    fn(base, depth, node.value);
-    return;
-  }
-  const int bit = kTreeDepth - 1 - depth;
-  for (int i = 0; i < 8; ++i) {
-    OcKey child_base = base;
-    child_base[0] |= static_cast<uint16_t>((i & 1) << bit);
-    child_base[1] |= static_cast<uint16_t>(((i >> 1) & 1) << bit);
-    child_base[2] |= static_cast<uint16_t>(((i >> 2) & 1) << bit);
-    leaves_recurs(node.children + i, child_base, depth + 1, fn);
-  }
-}
-
-std::vector<OccupancyOctree::LeafRecord> OccupancyOctree::leaves_sorted() const {
+std::vector<OccupancyOctree::LeafRecord> OccupancyOctree::leaves_dfs() const {
   std::vector<LeafRecord> out;
   // Reserve from arena occupancy: one allocation instead of log(n) regrows
   // when flushing a large map.
@@ -621,6 +597,11 @@ std::vector<OccupancyOctree::LeafRecord> OccupancyOctree::leaves_sorted() const 
   for_each_leaf([&out](const OcKey& key, int depth, float value) {
     out.push_back(LeafRecord{key, depth, value});
   });
+  return out;
+}
+
+std::vector<OccupancyOctree::LeafRecord> OccupancyOctree::leaves_sorted() const {
+  std::vector<LeafRecord> out = leaves_dfs();
   std::sort(out.begin(), out.end(), canonical_leaf_less);
   return out;
 }
@@ -653,13 +634,11 @@ void OccupancyOctree::collect_branch_leaves(int branch, std::vector<LeafRecord>&
   base[0] = static_cast<uint16_t>((branch & 1) << bit);
   base[1] = static_cast<uint16_t>(((branch >> 1) & 1) << bit);
   base[2] = static_cast<uint16_t>(((branch >> 2) & 1) << bit);
-  // The ascending-child DFS emits leaves in ascending packed order (child
-  // index i orders by the same (z, y, x) bit significance packed() uses),
-  // so the appended run is already canonically sorted within the branch.
-  leaves_recurs(root.children + branch, base, 1,
-                [&out](const OcKey& key, int depth, float value) {
-                  out.push_back(LeafRecord{key, depth, value});
-                });
+  // The ascending-child DFS emits leaves in ascending Morton order.
+  auto push = [&out](const OcKey& key, int depth, float value) {
+    out.push_back(LeafRecord{key, depth, value});
+  };
+  leaves_recurs(root.children + branch, base, 1, push);
 }
 
 uint64_t OccupancyOctree::content_hash() const {

@@ -198,18 +198,29 @@ class OccupancyOctree {
   /// large map does not re-grow the output vector log(n) times.
   std::size_t leaf_reserve_hint() const { return 8 * pool_.live_blocks() + 1; }
 
-  /// Iterates over all known leaves: callback(key_of_leaf_origin, depth,
-  /// log_odds). The key passed is aligned to the leaf's depth (low bits 0).
-  void for_each_leaf(const std::function<void(const OcKey&, int, float)>& fn) const;
+  /// Iterates over all known leaves in depth-first order — ascending
+  /// child index at every level, i.e. ascending Morton code of the leaf
+  /// keys: fn(key_of_leaf_origin, depth, log_odds). The key passed is
+  /// aligned to the leaf's depth (low bits 0).
+  template <typename Fn>
+  void for_each_leaf(Fn&& fn) const {
+    leaves_recurs(0, OcKey{}, 0, fn);
+  }
 
-  /// Collects (key, depth, log_odds) triples for all leaves, sorted by
-  /// packed key then depth — a canonical form used by equivalence tests.
+  /// (key, depth, log_odds) triple of one leaf.
   struct LeafRecord {
     OcKey key;
     int depth;
     float log_odds;
     bool operator==(const LeafRecord&) const = default;
   };
+
+  /// All leaves in depth-first (Morton) order — for_each_leaf's order,
+  /// the snapshot builder's native input (no sort on either end).
+  std::vector<LeafRecord> leaves_dfs() const;
+
+  /// All leaves sorted by packed key then depth — the canonical form used
+  /// by equivalence tests and content hashes.
   std::vector<LeafRecord> leaves_sorted() const;
 
   // ---- Dirty-branch tracking (incremental snapshot export) ---------------
@@ -230,11 +241,12 @@ class OccupancyOctree {
   DirtyHarvest harvest_dirty_branches(uint64_t since_generation);
 
   /// Collects the leaves under first-level branch `branch` (0..7), appended
-  /// to `out` in canonical (packed key, depth) order — the DFS emits
-  /// children in ascending packed order, so no sort is needed. A collapsed
-  /// (root-leaf) or empty map contributes nothing; harvest_dirty_branches
-  /// reports `full` for the collapsed case so callers never depend on
-  /// per-branch collection there.
+  /// to `out` in depth-first order: strictly ascending (morton48, depth),
+  /// which is *not* packed-key order once the branch spans more than one
+  /// child (child index interleaves x, y, z bits; packed() orders z over
+  /// y over x). A collapsed (root-leaf) or empty map contributes nothing;
+  /// harvest_dirty_branches reports `full` for the collapsed case so
+  /// callers never depend on per-branch collection there.
   void collect_branch_leaves(int branch, std::vector<LeafRecord>& out) const;
 
   /// True when the whole map is one pruned depth-0 leaf (every branch
@@ -281,8 +293,8 @@ class OccupancyOctree {
   void prune_recurs(int32_t node_idx, int depth, std::size_t& pruned);
   void expand_recurs(int32_t node_idx, int depth);
   void count_recurs(int32_t node_idx, std::size_t& leaves, std::size_t& inners) const;
-  void leaves_recurs(int32_t node_idx, const OcKey& base, int depth,
-                     const std::function<void(const OcKey&, int, float)>& fn) const;
+  template <typename Fn>
+  void leaves_recurs(int32_t node_idx, const OcKey& base, int depth, Fn& fn) const;
   bool box_query_recurs(int32_t node_idx, const OcKey& base, int depth, const geom::Aabb& box,
                         bool unknown_occupied) const;
 
@@ -315,6 +327,25 @@ class OccupancyOctree {
   bool dirty_all_ = true;
   uint64_t harvest_generation_ = 0;  ///< 0 = never harvested
 };
+
+template <typename Fn>
+void OccupancyOctree::leaves_recurs(int32_t node_idx, const OcKey& base, int depth,
+                                    Fn& fn) const {
+  const Node& node = pool_[static_cast<std::size_t>(node_idx)];
+  if (node.is_unknown()) return;
+  if (node.is_leaf()) {
+    fn(base, depth, node.value);
+    return;
+  }
+  const int bit = kTreeDepth - 1 - depth;
+  for (int i = 0; i < 8; ++i) {
+    OcKey child_base = base;
+    child_base[0] |= static_cast<uint16_t>((i & 1) << bit);
+    child_base[1] |= static_cast<uint16_t>(((i >> 1) & 1) << bit);
+    child_base[2] |= static_cast<uint16_t>(((i >> 2) & 1) << bit);
+    leaves_recurs(node.children + i, child_base, depth + 1, fn);
+  }
+}
 
 /// Canonical leaf triple shared with the accelerator model.
 using LeafRecord = OccupancyOctree::LeafRecord;

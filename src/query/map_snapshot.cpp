@@ -4,18 +4,44 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
+
+#include "geom/kernels/key_kernels.hpp"
 
 namespace omu::query {
 
 namespace {
 
-/// Binary search in a sorted packed-key array; returns the value at the
-/// matching index, or nullopt.
-std::optional<float> find_packed(const std::vector<uint64_t>& keys,
-                                 const std::vector<float>& values, uint64_t packed) {
-  const auto it = std::lower_bound(keys.begin(), keys.end(), packed);
-  if (it == keys.end() || *it != packed) return std::nullopt;
+/// Bits of a depth-first sort key below the Morton code (depth 0..16).
+constexpr int kDepthBits = 5;
+
+uint64_t morton_of(const map::OcKey& key) {
+  return geom::kernels::morton48(key[0], key[1], key[2]);
+}
+
+/// Depth-first sort key of a leaf: (morton48, depth).
+uint64_t dfs_key(const map::LeafRecord& leaf) {
+  return (morton_of(leaf.key) << kDepthBits) | static_cast<uint64_t>(leaf.depth);
+}
+
+/// Level key of the depth-`depth` node containing Morton code `morton`:
+/// its Morton prefix. Ascending prefix order is depth-first order.
+constexpr uint64_t prefix_at(uint64_t morton, int depth) {
+  return morton >> (3 * (map::kTreeDepth - depth));
+}
+
+/// Deepest depth at which two Morton codes still share their ancestor.
+int common_depth(uint64_t a, uint64_t b) {
+  if (a == b) return map::kTreeDepth;
+  return map::kTreeDepth - 1 - (std::bit_width(a ^ b) - 1) / 3;
+}
+
+/// Binary search in a sorted key array; returns the value at the matching
+/// index, or nullopt.
+std::optional<float> find_key(const std::vector<uint64_t>& keys,
+                              const std::vector<float>& values, uint64_t key) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return std::nullopt;
   return values[static_cast<std::size_t>(it - keys.begin())];
 }
 
@@ -34,103 +60,99 @@ std::size_t MapSnapshot::Chunk::memory_bytes() const {
   return bytes;
 }
 
-std::shared_ptr<const MapSnapshot::Chunk> MapSnapshot::build_chunk(
-    std::vector<map::LeafRecord> branch_leaves) {
-  if (branch_leaves.empty()) return nullptr;
+std::shared_ptr<const MapSnapshot::Chunk> MapSnapshot::build_chunk(const map::LeafRecord* leaves,
+                                                                   const uint64_t* dfs_keys,
+                                                                   std::size_t n) {
+  if (n == 0) return nullptr;
   auto chunk = std::make_shared<Chunk>();
-  chunk->leaves_ = std::move(branch_leaves);
+  chunk->leaves_.assign(leaves, leaves + n);
 
-  // Reconstruct the branch's inner nodes by folding each leaf's value into
-  // every ancestor level — the max over descendant leaves is exactly the
-  // octree's parent max-propagation.
-  std::array<std::unordered_map<uint64_t, float>, map::kTreeDepth + 1> inner;
-  float max_value = chunk->leaves_[0].log_odds;
-  for (const map::LeafRecord& leaf : chunk->leaves_) {
-    max_value = std::max(max_value, leaf.log_odds);
-    Level& level = chunk->levels_[static_cast<std::size_t>(leaf.depth)];
-    level.leaf_keys.push_back(leaf.key.packed());
-    level.leaf_values.push_back(leaf.log_odds);
-    for (int d = 1; d < leaf.depth; ++d) {
-      const uint64_t packed = map::key_at_depth(leaf.key, d).packed();
-      auto [it, inserted] =
-          inner[static_cast<std::size_t>(d)].try_emplace(packed, leaf.log_odds);
-      if (!inserted) it->second = std::max(it->second, leaf.log_odds);
+  // The open inner nodes are always the ancestor chain (depths 1..top) of
+  // the previous leaf, so leaf i keeps the ancestors it shares with leaf
+  // i-1 — the deepest is `shared(i)` — and opens depths shared+1..depth-1.
+  const auto shared = [&](std::size_t i) {
+    if (i == 0) return 0;
+    const int depth = std::min(leaves[i - 1].depth, leaves[i].depth) - 1;
+    return std::min(depth, common_depth(dfs_keys[i - 1] >> kDepthBits, dfs_keys[i] >> kDepthBits));
+  };
+
+  // Counting pass: exact array sizes, so the chunk holds no slack.
+  std::array<std::size_t, map::kTreeDepth + 1> leaf_count{};
+  std::array<std::size_t, map::kTreeDepth + 1> inner_count{};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int d = shared(i) + 1; d < leaves[i].depth; ++d) {
+      ++inner_count[static_cast<std::size_t>(d)];
     }
+    ++leaf_count[static_cast<std::size_t>(leaves[i].depth)];
   }
-  chunk->max_log_odds_ = max_value;
-
   for (int d = 1; d <= map::kTreeDepth; ++d) {
     Level& level = chunk->levels_[static_cast<std::size_t>(d)];
-    // Leaf arrays arrive in canonical packed order (the branch run is
-    // sorted and bucketing by depth preserves relative order), so they are
-    // already sorted.
-    auto& agg = inner[static_cast<std::size_t>(d)];
-    level.inner_keys.reserve(agg.size());
-    for (const auto& [packed, value] : agg) level.inner_keys.push_back(packed);
-    std::sort(level.inner_keys.begin(), level.inner_keys.end());
-    level.inner_max.resize(level.inner_keys.size());
-    for (std::size_t i = 0; i < level.inner_keys.size(); ++i) {
-      level.inner_max[i] = agg.at(level.inner_keys[i]);
-    }
+    level.leaf_keys.reserve(leaf_count[static_cast<std::size_t>(d)]);
+    level.leaf_values.reserve(leaf_count[static_cast<std::size_t>(d)]);
+    level.inner_keys.reserve(inner_count[static_cast<std::size_t>(d)]);
+    level.inner_max.reserve(inner_count[static_cast<std::size_t>(d)]);
   }
+
+  // Fill pass. A closed inner node's value is final — the max over its
+  // descendant leaves, exactly the octree's parent max-propagation — so it
+  // is appended (in depth-first order, i.e. sorted) and folded into its
+  // parent.
+  std::array<uint64_t, map::kTreeDepth> open_key{};
+  std::array<float, map::kTreeDepth> open_max{};
+  int top = 0;
+  const auto close_to = [&](int depth) {
+    for (; top > depth; --top) {
+      const auto t = static_cast<std::size_t>(top);
+      Level& level = chunk->levels_[t];
+      level.inner_keys.push_back(open_key[t]);
+      level.inner_max.push_back(open_max[t]);
+      if (top > 1) open_max[t - 1] = std::max(open_max[t - 1], open_max[t]);
+    }
+  };
+  float max_value = leaves[0].log_odds;
+  for (std::size_t i = 0; i < n; ++i) {
+    const map::LeafRecord& leaf = leaves[i];
+    const uint64_t morton = dfs_keys[i] >> kDepthBits;
+    close_to(shared(i));
+    for (int d = top + 1; d < leaf.depth; ++d) {
+      open_key[static_cast<std::size_t>(d)] = prefix_at(morton, d);
+      open_max[static_cast<std::size_t>(d)] = leaf.log_odds;
+    }
+    top = leaf.depth - 1;
+    if (top >= 1) {
+      float& parent = open_max[static_cast<std::size_t>(top)];
+      parent = std::max(parent, leaf.log_odds);
+    }
+    Level& level = chunk->levels_[static_cast<std::size_t>(leaf.depth)];
+    level.leaf_keys.push_back(prefix_at(morton, leaf.depth));
+    level.leaf_values.push_back(leaf.log_odds);
+    max_value = std::max(max_value, leaf.log_odds);
+  }
+  close_to(0);
+  chunk->max_log_odds_ = max_value;
   return chunk;
 }
 
-std::shared_ptr<const MapSnapshot> MapSnapshot::build(map::MapSnapshotData data, uint64_t epoch) {
-  auto snap = std::shared_ptr<MapSnapshot>(new MapSnapshot(data.resolution, data.params, epoch));
+void MapSnapshot::set_collapsed(float value) {
+  chunks_ = {};
+  root_ = NodeLookup{NodeKind::kLeaf, value};
+  leaves_cache_ = {map::LeafRecord{map::OcKey{}, 0, value}};
+  content_hash_cache_ = map::hash_leaf_records(map::normalize_to_depth1(leaves_cache_));
+  lazy_ready_.store(true, std::memory_order_release);
+}
 
-  // Defensive re-sort: backends export in canonical order already, so this
-  // is a no-op pass for them, but build() accepts any leaf list.
-  std::vector<map::LeafRecord> leaves = std::move(data.leaves);
-  std::sort(leaves.begin(), leaves.end(), map::canonical_leaf_less);
-
-  // Root node. A single depth-0 record is a fully collapsed map: no branch
-  // chunks, the root leaf answers everything.
-  if (leaves.empty()) {
-    snap->root_ = NodeLookup{NodeKind::kUnknown, 0.0f};
-  } else if (leaves.size() == 1 && leaves[0].depth == 0) {
-    snap->root_ = NodeLookup{NodeKind::kLeaf, leaves[0].log_odds};
-  } else {
-    // Split the sorted list into per-branch runs and build each chunk.
-    // Branch buckets are not contiguous in packed order (the z/y/x bits
-    // interleave below the top bit), so bucket by first_level_branch.
-    std::array<std::vector<map::LeafRecord>, 8> runs;
-    for (const map::LeafRecord& leaf : leaves) {
-      runs[static_cast<std::size_t>(map::first_level_branch(leaf.key))].push_back(leaf);
-    }
-    float root_max = leaves[0].log_odds;
-    for (std::size_t b = 0; b < 8; ++b) {
-      snap->chunks_[b] = build_chunk(std::move(runs[b]));
-      if (snap->chunks_[b]) root_max = std::max(root_max, snap->chunks_[b]->max_log_odds());
-    }
-    snap->root_ = NodeLookup{NodeKind::kInner, root_max};
-  }
-
-  // The full build already holds the whole sorted list — keep it as the
-  // materialized flat form (matches the pre-chunking eager behavior).
-  snap->leaves_cache_ = std::move(leaves);
-  snap->content_hash_cache_ =
-      map::hash_leaf_records(map::normalize_to_depth1(snap->leaves_cache_));
-  snap->lazy_ready_.store(true, std::memory_order_release);
-  return snap;
+std::shared_ptr<const MapSnapshot> MapSnapshot::build(map::MapSnapshotData data, uint64_t epoch,
+                                                      BuildStats* stats) {
+  map::MapSnapshotDelta delta;
+  delta.leaves = std::move(data.leaves);
+  delta.resolution = data.resolution;
+  delta.params = data.params;
+  return assemble(nullptr, std::move(delta), epoch, stats);
 }
 
 std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
     const MapSnapshot& prev, map::MapSnapshotDelta delta, uint64_t epoch, BuildStats* stats) {
-  if (delta.full) {
-    auto snap = build(
-        map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params}, epoch);
-    if (stats) {
-      *stats = BuildStats{};
-      for (int b = 0; b < 8; ++b) {
-        if (const auto chunk = snap->branch_chunk(b)) {
-          stats->chunks_rebuilt++;
-          stats->bytes_rebuilt += chunk->memory_bytes();
-        }
-      }
-    }
-    return snap;
-  }
+  if (delta.full) return assemble(nullptr, std::move(delta), epoch, stats);
   if (prev.root_.kind == NodeKind::kLeaf && delta.dirty_mask != 0xFF) {
     // A collapsed previous epoch has no chunks to splice from; backends
     // guarantee a full (or all-dirty) export whenever the root was or is a
@@ -138,57 +160,92 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
     throw std::logic_error(
         "MapSnapshot::build_incremental: partial delta against a collapsed snapshot");
   }
+  return assemble(&prev, std::move(delta), epoch, stats);
+}
 
+std::shared_ptr<const MapSnapshot> MapSnapshot::assemble(const MapSnapshot* prev,
+                                                         map::MapSnapshotDelta delta,
+                                                         uint64_t epoch, BuildStats* stats) {
   auto snap =
       std::shared_ptr<MapSnapshot>(new MapSnapshot(delta.resolution, delta.params, epoch));
+  std::vector<map::LeafRecord>& leaves = delta.leaves;
+  const std::size_t n = leaves.size();
+  BuildStats local;
+  local.incremental = prev != nullptr;
 
-  // Bucket the dirty branches' leaves; each branch run is re-sorted
-  // defensively (a no-op pass for the backends' canonical-per-branch
-  // exports, mirroring build()).
-  std::array<std::vector<map::LeafRecord>, 8> runs;
-  for (map::LeafRecord& leaf : delta.leaves) {
-    runs[static_cast<std::size_t>(map::first_level_branch(leaf.key))].push_back(leaf);
+  // A single depth-0 record is a fully collapsed map: no branch chunks,
+  // the root leaf answers everything.
+  if (prev == nullptr && n == 1 && leaves[0].depth == 0) {
+    snap->set_collapsed(leaves[0].log_odds);
+    if (stats) *stats = local;
+    return snap;
   }
 
-  BuildStats local;
-  local.incremental = true;
+  // Depth-first sort keys, one Morton code per leaf (reused by the chunk
+  // builder). Backends export in this order already; only a full build
+  // from some other order pays a sort.
+  std::vector<uint64_t> keys(n);
+  bool ordered = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int depth = leaves[i].depth;
+    if (depth < 1 || depth > map::kTreeDepth) {
+      throw std::invalid_argument("MapSnapshot: leaf depth " + std::to_string(depth) +
+                                  " outside 1..16 (a depth-0 record must be the only one)");
+    }
+    keys[i] = dfs_key(leaves[i]);
+    ordered = ordered && (i == 0 || keys[i - 1] <= keys[i]);
+  }
+  if (!ordered) {
+    if (prev != nullptr) {
+      throw std::invalid_argument(
+          "MapSnapshot::build_incremental: dirty-branch leaves not in depth-first order");
+    }
+    std::sort(leaves.begin(), leaves.end(),
+              [](const map::LeafRecord& a, const map::LeafRecord& b) {
+                return dfs_key(a) < dfs_key(b);
+              });
+    std::transform(leaves.begin(), leaves.end(), keys.begin(), dfs_key);
+  }
+
+  // In depth-first order each first-level branch is one contiguous run
+  // (the branch is the top Morton octet).
+  constexpr int kBranchShift = kDepthBits + 3 * (map::kTreeDepth - 1);
+  std::size_t begin = 0;
   for (int b = 0; b < 8; ++b) {
     const auto bi = static_cast<std::size_t>(b);
-    if (delta.dirty_mask & (1u << b)) {
-      std::sort(runs[bi].begin(), runs[bi].end(), map::canonical_leaf_less);
-      snap->chunks_[bi] = build_chunk(std::move(runs[bi]));
+    const std::size_t end = static_cast<std::size_t>(
+        std::lower_bound(keys.begin() + static_cast<std::ptrdiff_t>(begin), keys.end(),
+                         static_cast<uint64_t>(b + 1) << kBranchShift) -
+        keys.begin());
+    if (prev == nullptr || (delta.dirty_mask & (1u << b))) {
+      snap->chunks_[bi] = build_chunk(leaves.data() + begin, keys.data() + begin, end - begin);
       if (snap->chunks_[bi]) {
         local.chunks_rebuilt++;
         local.bytes_rebuilt += snap->chunks_[bi]->memory_bytes();
       }
     } else {
-      snap->chunks_[bi] = prev.chunks_[bi];
+      snap->chunks_[bi] = prev->chunks_[bi];
       if (snap->chunks_[bi]) {
         local.chunks_reused++;
         local.bytes_reused += snap->chunks_[bi]->memory_bytes();
       }
     }
+    begin = end;
   }
 
-  // Root-collapse normalization: when every branch is a single depth-1
-  // leaf and all eight values compare equal, the canonical full export of
-  // the same state is one depth-0 record (the octree's root prune). Match
-  // it so incremental and full builds stay bit-identical. The float == mirrors
-  // update_inner_and_try_prune's equality test.
-  bool collapse = true;
+  // Root-collapse normalization of a splice: when every branch is a single
+  // depth-1 leaf and all eight values compare equal, the canonical full
+  // export of the same state is one depth-0 record (the octree's root
+  // prune). Match it so incremental and full builds stay bit-identical.
+  // The float == mirrors update_inner_and_try_prune's equality test.
+  bool collapse = prev != nullptr;
   for (int b = 0; collapse && b < 8; ++b) {
     const auto& chunk = snap->chunks_[static_cast<std::size_t>(b)];
     collapse = chunk && chunk->leaf_count() == 1 && chunk->leaves()[0].depth == 1 &&
                chunk->leaves()[0].log_odds == snap->chunks_[0]->leaves()[0].log_odds;
   }
   if (collapse) {
-    const float value = snap->chunks_[0]->leaves()[0].log_odds;
-    snap->chunks_ = {};
-    snap->root_ = NodeLookup{NodeKind::kLeaf, value};
-    snap->leaves_cache_ = {map::LeafRecord{map::OcKey{}, 0, value}};
-    snap->content_hash_cache_ =
-        map::hash_leaf_records(map::normalize_to_depth1(snap->leaves_cache_));
-    snap->lazy_ready_.store(true, std::memory_order_release);
+    snap->set_collapsed(snap->chunks_[0]->leaves()[0].log_odds);
     local = BuildStats{};
     local.incremental = true;
     local.chunks_rebuilt = 1;
@@ -205,8 +262,8 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
     any = true;
   }
   snap->root_ = any ? NodeLookup{NodeKind::kInner, root_max} : NodeLookup{NodeKind::kUnknown, 0.0f};
-  // leaves()/content_hash() stay lazy: the O(changed) build does not touch
-  // the O(map) flat form.
+  // leaves()/content_hash() stay lazy: the build does not touch the
+  // canonical flat form.
   if (stats) *stats = local;
   return snap;
 }
@@ -230,9 +287,8 @@ void MapSnapshot::ensure_flat() const {
   for (const auto& chunk : chunks_) {
     if (chunk) flat.insert(flat.end(), chunk->leaves().begin(), chunk->leaves().end());
   }
-  // Branch runs interleave in global packed order (the top bit of each
-  // axis is not the most significant sort bit), so one global sort merges
-  // them; each run is already sorted, which keeps the pass cheap.
+  // Chunk runs are in depth-first (Morton) order and branches interleave
+  // in packed order, so one global sort makes the canonical form.
   std::sort(flat.begin(), flat.end(), map::canonical_leaf_less);
   leaves_cache_ = std::move(flat);
   content_hash_cache_ = map::hash_leaf_records(map::normalize_to_depth1(leaves_cache_));
@@ -258,23 +314,26 @@ std::size_t MapSnapshot::leaf_count() const {
   return total;
 }
 
-MapSnapshot::NodeLookup MapSnapshot::node_at(const map::OcKey& key, int depth) const {
-  if (depth == 0) return root_;
-  const auto& chunk = chunks_[static_cast<std::size_t>(map::first_level_branch(key))];
-  if (!chunk) return NodeLookup{NodeKind::kUnknown, 0.0f};
+MapSnapshot::NodeLookup MapSnapshot::chunk_node(const Chunk* chunk, uint64_t morton, int depth) {
+  if (chunk == nullptr) return NodeLookup{NodeKind::kUnknown, 0.0f};
   const Level& level = chunk->levels_[static_cast<std::size_t>(depth)];
-  const uint64_t packed = map::key_at_depth(key, depth).packed();
-  if (const auto leaf = find_packed(level.leaf_keys, level.leaf_values, packed)) {
+  const uint64_t key = prefix_at(morton, depth);
+  if (const auto leaf = find_key(level.leaf_keys, level.leaf_values, key)) {
     return NodeLookup{NodeKind::kLeaf, *leaf};
   }
-  if (const auto max = find_packed(level.inner_keys, level.inner_max, packed)) {
+  if (const auto max = find_key(level.inner_keys, level.inner_max, key)) {
     return NodeLookup{NodeKind::kInner, *max};
   }
   return NodeLookup{NodeKind::kUnknown, 0.0f};
 }
 
+MapSnapshot::NodeLookup MapSnapshot::node_at(uint64_t morton, int depth) const {
+  if (depth == 0) return root_;
+  return chunk_node(chunks_[static_cast<std::size_t>(prefix_at(morton, 1))].get(), morton, depth);
+}
+
 SnapshotNodeProbe MapSnapshot::probe(const map::OcKey& key, int depth) const {
-  const NodeLookup node = node_at(key, depth);
+  const NodeLookup node = node_at(morton_of(key), depth);
   switch (node.kind) {
     case NodeKind::kUnknown:
       return SnapshotNodeProbe{SnapshotNodeKind::kUnknown, 0.0f};
@@ -289,10 +348,11 @@ SnapshotNodeProbe MapSnapshot::probe(const map::OcKey& key, int depth) const {
 std::optional<SnapshotNodeView> MapSnapshot::search(const map::OcKey& key, int max_depth) const {
   NodeLookup node = root_;
   if (node.kind == NodeKind::kUnknown) return std::nullopt;
+  const uint64_t morton = morton_of(key);
+  const Chunk* chunk = chunks_[static_cast<std::size_t>(prefix_at(morton, 1))].get();
   int depth = 0;
   while (depth < max_depth && node.kind == NodeKind::kInner) {
-    node = node_at(key, depth + 1);
-    ++depth;
+    node = chunk_node(chunk, morton, ++depth);
     if (node.kind == NodeKind::kUnknown) return std::nullopt;
   }
   return SnapshotNodeView{node.value, depth, node.kind == NodeKind::kLeaf};
@@ -318,11 +378,11 @@ void MapSnapshot::classify_batch(const std::vector<map::OcKey>& keys,
 
 bool MapSnapshot::any_occupied_in_box(const geom::Aabb& box,
                                       bool treat_unknown_as_occupied) const {
-  return box_recurs(map::OcKey{}, 0, box, treat_unknown_as_occupied);
+  return box_recurs(map::OcKey{}, 0, 0, box, treat_unknown_as_occupied);
 }
 
-bool MapSnapshot::box_recurs(const map::OcKey& base, int depth, const geom::Aabb& box,
-                             bool unknown_occupied) const {
+bool MapSnapshot::box_recurs(const map::OcKey& base, uint64_t morton, int depth,
+                             const geom::Aabb& box, bool unknown_occupied) const {
   const double res = coder_.resolution();
   const double size = coder_.node_size(depth);
   const geom::Vec3d lo{(static_cast<double>(base[0]) - map::kKeyOrigin) * res,
@@ -330,7 +390,7 @@ bool MapSnapshot::box_recurs(const map::OcKey& base, int depth, const geom::Aabb
                        (static_cast<double>(base[2]) - map::kKeyOrigin) * res};
   if (!geom::Aabb{lo, lo + geom::Vec3d{size, size, size}}.intersects(box)) return false;
 
-  const NodeLookup node = node_at(base, depth);
+  const NodeLookup node = node_at(morton, depth);
   switch (node.kind) {
     case NodeKind::kUnknown:
       return unknown_occupied;
@@ -351,7 +411,8 @@ bool MapSnapshot::box_recurs(const map::OcKey& base, int depth, const geom::Aabb
     child_base[0] |= static_cast<uint16_t>((i & 1) << bit);
     child_base[1] |= static_cast<uint16_t>(((i >> 1) & 1) << bit);
     child_base[2] |= static_cast<uint16_t>(((i >> 2) & 1) << bit);
-    if (box_recurs(child_base, depth + 1, box, unknown_occupied)) return true;
+    const uint64_t child_morton = morton | (static_cast<uint64_t>(i) << (3 * bit));
+    if (box_recurs(child_base, child_morton, depth + 1, box, unknown_occupied)) return true;
   }
   return false;
 }

@@ -1,30 +1,37 @@
 // Immutable, flattened snapshot of an occupancy map — the read side of the
 // concurrent Voxel Query service (paper Sec. V, Fig. 4).
 //
-// A MapSnapshot is built from any MapBackend's canonical leaves_sorted()
-// export and never mutated afterwards, so any number of reader threads can
-// answer point, batch, multi-resolution and AABB queries against it with
-// no synchronization at all while the writer keeps integrating scans into
+// A MapSnapshot is built from any MapBackend's snapshot export and never
+// mutated afterwards, so any number of reader threads can answer point,
+// batch, multi-resolution and AABB queries against it with no
+// synchronization at all while the writer keeps integrating scans into
 // the live map. This is the same reader/writer decoupling OHM and the
 // OpenVDB mapping pipeline get from immutable/flattened map views.
 //
 // Representation: eight refcounted immutable *chunks*, one per first-level
 // branch (the root child octant the OMU voxel scheduler routes by). Each
-// chunk holds its branch's canonical leaf run plus per-depth flat sorted
-// arrays of packed aligned keys; reconstructed inner-node values are the
-// max over descendant leaves, which is bit-identical to the octree's
-// parent max-propagation (max over the same floats is associative), so
-// snapshot answers match a flushed serial classify()/search() exactly —
-// the property tests/query/test_snapshot_equivalence.cpp enforces across
-// all backends. Every query is a short chain of binary searches inside
-// one chunk.
+// chunk holds its branch's leaf run in depth-first order plus per-depth
+// flat sorted arrays keyed by Morton prefix — morton48(key) >> 3*(16-d) at
+// depth d — so ascending key order at every depth *is* depth-first order,
+// the order the octree walk emits and the paper's child-i-in-bank-i
+// layout (Fig. 5) stores. A chunk is therefore built in one linear pass
+// over its leaves, with no sort and no hash: reconstructed inner-node
+// values are the max over descendant leaves, folded child-into-parent as
+// each inner node closes, which is bit-identical to the octree's parent
+// max-propagation (max over the same floats is associative), so snapshot
+// answers match a flushed serial classify()/search() exactly — the
+// property tests/query/test_snapshot_equivalence.cpp enforces across all
+// backends. Every query is one Morton interleave plus a short chain of
+// binary searches inside one chunk.
 //
 // The chunk split is what makes publication O(changed): build_incremental
 // rebuilds only the branches a MapSnapshotDelta marks dirty and shares
 // the remaining chunks — by shared_ptr, no copy — with the previous
-// epoch. A reader holding an old snapshot keeps exactly the chunks that
-// epoch referenced alive; chunks die when the last snapshot referencing
-// them does.
+// epoch; build is the same path with every branch dirty. A reader holding
+// an old snapshot keeps exactly the chunks that epoch referenced alive;
+// chunks die when the last snapshot referencing them does. The canonical
+// packed-key-sorted flat form (leaves(), content_hash()) is materialized
+// lazily, on first request.
 #pragma once
 
 #include <array>
@@ -71,8 +78,9 @@ struct SnapshotNodeProbe {
 /// snapshot alive across a concurrent publication of its successor.
 class MapSnapshot {
  public:
-  /// One depth level of one first-level branch: parallel sorted arrays of
-  /// packed depth-aligned keys and node values.
+  /// One depth level of one first-level branch: parallel arrays of node
+  /// keys — the Morton prefix morton48(key) >> 3*(16-depth), strictly
+  /// ascending — and node values.
   struct Level {
     std::vector<uint64_t> leaf_keys;
     std::vector<float> leaf_values;
@@ -87,8 +95,11 @@ class MapSnapshot {
   /// lifetime properties directly.
   class Chunk {
    public:
-    /// This branch's leaves in canonical (packed key, depth) order.
+    /// This branch's leaves in depth-first order: ascending (morton48,
+    /// depth), not packed-key order (MapSnapshot::leaves() is canonical).
     const std::vector<map::LeafRecord>& leaves() const { return leaves_; }
+    /// The flat arrays of depth `depth` (1..16).
+    const Level& level(int depth) const { return levels_[static_cast<std::size_t>(depth)]; }
     std::size_t leaf_count() const { return leaves_.size(); }
     /// Max log-odds over the branch's leaves (feeds the root's value).
     float max_log_odds() const { return max_log_odds_; }
@@ -111,15 +122,20 @@ class MapSnapshot {
     std::size_t bytes_rebuilt = 0;  ///< fresh memory allocated by this build
   };
 
-  /// Builds a snapshot from a backend's export. `epoch` tags the snapshot
-  /// with its publication sequence number (see QueryService).
-  static std::shared_ptr<const MapSnapshot> build(map::MapSnapshotData data, uint64_t epoch = 0);
+  /// Builds a snapshot from a backend's export — any leaf order; input not
+  /// already in depth-first order is sorted into it once. `epoch` tags the
+  /// snapshot with its publication sequence number (see QueryService).
+  /// Throws std::invalid_argument on a leaf depth outside 0..16 or a
+  /// depth-0 record that is not the only one.
+  static std::shared_ptr<const MapSnapshot> build(map::MapSnapshotData data, uint64_t epoch = 0,
+                                                  BuildStats* stats = nullptr);
 
   /// Incremental build: rebuilds only the branches `delta` marks dirty and
   /// shares every other chunk with `prev` — O(changed) time and fresh
   /// memory. `prev` must be the snapshot built from the delta source's
-  /// previous harvest (the QueryService tracks this pairing). A full delta
-  /// degrades to build(). Produces bit-identical query answers and
+  /// previous harvest (the QueryService tracks this pairing). A partial
+  /// delta's leaves must be in depth-first order (std::invalid_argument
+  /// otherwise); a full delta degrades to build(). Produces bit-identical query answers and
   /// flattened arrays to a full rebuild of the same backend state,
   /// including the backend's root-collapse normalization: when all eight
   /// spliced branches are a single equal-valued depth-1 leaf — the state
@@ -179,10 +195,10 @@ class MapSnapshot {
   std::size_t leaf_count() const;
   bool empty() const { return root_.kind == NodeKind::kUnknown; }
 
-  /// The canonical sorted leaf array of the whole map. Incremental builds
-  /// materialize it lazily (merging the chunk runs, O(map), cached and
-  /// thread-safe) — the query paths never need it, so an O(changed) flush
-  /// stays O(changed) unless a consumer asks for the flat form.
+  /// The canonical (packed key, depth)-sorted leaf array of the whole map,
+  /// materialized lazily (one sort of the chunk runs, cached and
+  /// thread-safe) — the query paths never need it, so a flush stays
+  /// O(changed) unless a consumer asks for the flat form.
   const std::vector<map::LeafRecord>& leaves() const;
 
   /// Hash of the canonical leaf content, comparable with the backends'
@@ -214,20 +230,36 @@ class MapSnapshot {
         params_(params.quantized ? params.snapped_to_fixed_point() : params),
         epoch_(epoch) {}
 
-  /// Builds the immutable chunk of one branch from its canonical leaf run.
-  /// Returns null for an empty run (unknown branch).
-  static std::shared_ptr<const Chunk> build_chunk(std::vector<map::LeafRecord> branch_leaves);
+  /// build and build_incremental: rebuilds every branch (`prev` null) or
+  /// the branches `delta` marks dirty, sharing the rest from `prev`.
+  static std::shared_ptr<const MapSnapshot> assemble(const MapSnapshot* prev,
+                                                     map::MapSnapshotDelta delta, uint64_t epoch,
+                                                     BuildStats* stats);
 
-  /// Node at (aligned key, depth) — kLeaf with its value, kInner with the
-  /// subtree max, or kUnknown.
-  NodeLookup node_at(const map::OcKey& key, int depth) const;
+  /// Builds the immutable chunk of one branch in one pass over its `n`
+  /// leaves in depth-first order, with their (morton48 << 5 | depth) sort
+  /// keys. Returns null for an empty run (unknown branch).
+  static std::shared_ptr<const Chunk> build_chunk(const map::LeafRecord* leaves,
+                                                  const uint64_t* dfs_keys, std::size_t n);
 
-  bool box_recurs(const map::OcKey& base, int depth, const geom::Aabb& box,
+  /// Makes this snapshot the fully collapsed map: one depth-0 leaf, flat
+  /// form pre-filled.
+  void set_collapsed(float value);
+
+  /// Node at depth `depth` (1..16) on the path to the voxel with Morton
+  /// code `morton` inside branch chunk `chunk` (null = unknown branch) —
+  /// kLeaf with its value, kInner with the subtree max, or kUnknown.
+  static NodeLookup chunk_node(const Chunk* chunk, uint64_t morton, int depth);
+
+  /// chunk_node in the voxel's own branch; the root at depth 0.
+  NodeLookup node_at(uint64_t morton, int depth) const;
+
+  bool box_recurs(const map::OcKey& base, uint64_t morton, int depth, const geom::Aabb& box,
                   bool unknown_occupied) const;
 
   /// Fills leaves_cache_/content_hash_cache_ under lazy_mutex_ (double-
-  /// checked via lazy_ready_). Full builds pre-fill in the constructor
-  /// path, so only incremental snapshots ever pay the merge.
+  /// checked via lazy_ready_): one global sort of the chunk runs. Only a
+  /// collapsed snapshot pre-fills it.
   void ensure_flat() const;
 
   map::KeyCoder coder_;

@@ -117,13 +117,8 @@ uint64_t QueryService::publish_delta_locked(map::MapSnapshotDelta delta, const v
     }
     obs::TraceSpan span(build_ns_, journal_, "publish.build");
     next = MapSnapshot::build(
-        map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params}, epoch);
-    for (int b = 0; b < 8; ++b) {
-      if (const auto chunk = next->branch_chunk(b)) {
-        build_stats.chunks_rebuilt++;
-        build_stats.bytes_rebuilt += chunk->memory_bytes();
-      }
-    }
+        map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params}, epoch,
+        &build_stats);
   } else {
     obs::TraceSpan span(splice_ns_, journal_, "publish.splice");
     next = MapSnapshot::build_incremental(*delta_base_, std::move(delta), epoch, &build_stats);

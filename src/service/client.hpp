@@ -11,7 +11,7 @@
 // across threads or use one per thread, both work.
 //
 // SubscriptionMirror applies delta events: a baseline resets it, changed
-// shards replace their canonical leaf runs wholesale, removed shards
+// shards replace their leaf runs wholesale, removed shards
 // drop. Its content_hash() uses the library's one canonical formula
 // (normalize_to_depth1 + hash_leaf_records over the sorted merged run),
 // so mirror hash == publisher hash proves bit-identical convergence —

@@ -10,7 +10,7 @@
 //
 // Delta subscription frames (MsgType::kDeltaEvent) are server-initiated
 // events, request_id 0: each carries the epoch's changed shards as full
-// canonical leaf runs keyed by a uint64 shard key — the first-level
+// leaf runs keyed by a uint64 shard key — the first-level
 // branch index (0..7) for snapshot-backed sessions, the TileId for
 // tiled-world sessions — plus the keys of shards that vanished and,
 // optionally, the publisher's content hash so a mirror can prove
@@ -260,7 +260,9 @@ struct MetricsReply {
   void decode(WireReader& r);
 };
 
-/// One changed shard in a delta: its full canonical leaf run.
+/// One changed shard in a delta: its full leaf run — depth-first (Morton)
+/// order for a branch shard, canonical order for a tile shard. Receivers
+/// sort the merged runs before hashing, so the order carries no meaning.
 struct DeltaShard {
   uint64_t shard_key = 0;
   std::vector<map::LeafRecord> leaves;

@@ -67,6 +67,16 @@ SnapshotNodeProbe WorldQueryView::probe(const map::OcKey& key, int depth) const 
 }
 
 map::Occupancy WorldQueryView::classify(const map::OcKey& key, int max_depth) const {
+  if (max_depth >= grid_.tile_depth()) {
+    // The federated descent passes the summary levels exactly when the
+    // key's tile is known, and from there on it is the owning snapshot's
+    // own search (a tile snapshot's levels above the tile root hold only
+    // that tile's inner ancestors): one tile lookup, not one per level.
+    const auto it = tiles_.find(grid_.tile_id(key));
+    if (it == tiles_.end()) return map::Occupancy::kUnknown;
+    const auto view = it->second->search(key, max_depth);
+    return view ? params_.classify(view->log_odds) : map::Occupancy::kUnknown;
+  }
   // MapSnapshot::search's descent, over the federated probe. A monolithic
   // tree that pruned equal tiles into a coarse leaf stops earlier with the
   // same value, so the classification is identical either way.

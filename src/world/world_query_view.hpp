@@ -12,8 +12,9 @@
 //   depth >= tile_depth  -> MapSnapshot::probe on the owning tile, whose
 //                           sub-tree is bit-identical to the monolithic
 //                           tree below the tile root (see tile_grid.hpp)
-// so point, batch, coarse-depth and AABB answers match a monolithic
-// octree of the same update stream exactly — including views captured
+// (a point query reaching tile depth does one tile lookup and then the
+// owning snapshot's own search), so point, batch, coarse-depth and AABB
+// answers match a monolithic octree of the same update stream exactly — including views captured
 // after tiles were evicted and reloaded (tests/world enforce this).
 //
 // Where the structures can differ: a monolithic tree may prune eight
