@@ -146,9 +146,8 @@ void world_map(benchkit::State& state) {
   // ---- Checks: zero accuracy loss, resident ceiling held -----------------
   const world::TilePagerStats stats = world.pager_stats();
   state.check("bit_identical_to_monolithic",
-              map::hash_leaf_records(world.leaves_sorted()) ==
-                  map::hash_leaf_records(map::normalize_to_min_depth(
-                      ref.tree.leaves_sorted(), world.grid().tile_depth())));
+              world.content_hash() == map::leaf_set_hash(map::normalize_to_min_depth(
+                                          ref.tree.leaves_sorted(), world.grid().tile_depth())));
   if (bounded) {
     // Boundary residency under the budget; the continuous high-water may
     // exceed it by at most one residency step (see TilePagerStats).

@@ -193,7 +193,15 @@ std::vector<map::LeafRecord> OmuAccelerator::leaves_sorted() const {
   return out;
 }
 
-uint64_t OmuAccelerator::content_hash() const { return map::hash_leaf_records(leaves_sorted()); }
+uint64_t OmuAccelerator::content_hash() const {
+  uint64_t hash = 0;
+  for (const auto& pe : pes_) {
+    pe->for_each_leaf([&hash](const map::OcKey& key, int depth, float log_odds) {
+      hash += map::leaf_set_term(key, depth, log_odds);
+    });
+  }
+  return hash;
+}
 
 map::OccupancyOctree OmuAccelerator::to_octree() const {
   map::OccupancyOctree tree(cfg_.resolution, cfg_.params);

@@ -141,8 +141,8 @@ class OmuAccelerator {
   /// `normalize_to_depth1(software_tree.leaves_sorted())`.
   std::vector<map::LeafRecord> leaves_sorted() const;
 
-  /// Hash of leaves_sorted(); equals the software tree's content_hash()
-  /// when the maps agree.
+  /// map::leaf_set_hash of the map, summed PE by PE with no export or
+  /// sort; equals the software tree's content_hash() when the maps agree.
   uint64_t content_hash() const;
 
   /// Reads the whole map back into a software octree (the DMA readback a

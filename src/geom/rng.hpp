@@ -10,6 +10,14 @@
 
 namespace omu::geom {
 
+/// The splitmix64 output finaliser: a bijection on 64 bits with full
+/// avalanche (also the per-record mixer of map::leaf_set_hash).
+constexpr uint64_t splitmix64_mix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// splitmix64: tiny, fast, high-quality 64-bit PRNG (Steele et al.).
 class SplitMix64 {
  public:
@@ -17,10 +25,7 @@ class SplitMix64 {
 
   constexpr uint64_t next_u64() {
     state_ += 0x9E3779B97F4A7C15ULL;
-    uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    return splitmix64_mix(state_);
   }
 
   /// Uniform double in [0, 1).

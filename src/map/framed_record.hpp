@@ -1,6 +1,7 @@
 // Checksummed record framing shared by the on-disk formats (octree_io v2
 // tree files, the world manifest), plus the one FNV-1a hash behind it,
-// content_hash() and the service wire checksum.
+// the on-disk tile signature (hash_leaf_records) and the service wire
+// checksum.
 //
 // Layout (host byte order, like every pod in these formats):
 //   magic[8] | u64 payload length | payload | u64 FNV-1a(payload)

@@ -18,7 +18,9 @@ Occupancy MapBackend::classify(const geom::Vec3d& position) {
   return classify(*key);
 }
 
-uint64_t MapBackend::content_hash() const { return hash_leaf_records(leaves_sorted()); }
+uint64_t MapBackend::content_hash() const {
+  return leaf_set_hash(export_snapshot_data().leaves);
+}
 
 void OctreeBackend::apply(const UpdateBatch& batch) {
   for (const VoxelUpdate& u : batch) tree_->update_node(u.key, u.occupied);

@@ -111,8 +111,10 @@ class MapBackend {
   /// Canonical (packed-key, depth)-sorted leaf export of the map content.
   virtual std::vector<LeafRecord> leaves_sorted() const = 0;
 
-  /// Hash of the canonical leaf export; equal hashes mean identical maps
-  /// (up to hash collision). Backends with a native hash may override.
+  /// leaf_set_hash of the leaf export (any order, so the default hashes
+  /// export_snapshot_data, the cheapest export); equal hashes mean
+  /// identical maps (up to hash collision). Backends with a native leaf
+  /// walk may override.
   virtual uint64_t content_hash() const;
 
   /// Snapshot export hook: the canonical leaf list plus query parameters,

@@ -642,7 +642,29 @@ void OccupancyOctree::collect_branch_leaves(int branch, std::vector<LeafRecord>&
 }
 
 uint64_t OccupancyOctree::content_hash() const {
-  return hash_leaf_records(normalize_to_depth1(leaves_sorted()));
+  uint64_t hash = 0;
+  for_each_leaf([&hash](const OcKey& key, int depth, float value) {
+    hash += leaf_set_term(key, depth, value);
+  });
+  return hash;
+}
+
+uint64_t leaf_set_hash(const std::vector<LeafRecord>& records) {
+  uint64_t hash = 0;
+  for (const LeafRecord& rec : records) hash += leaf_set_term(rec.key, rec.depth, rec.log_odds);
+  return hash;
+}
+
+uint64_t detail::collapsed_root_term(uint16_t value) {
+  constexpr uint64_t kHalf = uint64_t{1} << (kTreeDepth - 1);  // depth-1 key step
+  uint64_t hash = 0;
+  for (uint64_t octant = 0; octant < 8; ++octant) {
+    const OcKey key{static_cast<uint16_t>((octant & 1) * kHalf),
+                    static_cast<uint16_t>(((octant >> 1) & 1) * kHalf),
+                    static_cast<uint16_t>(((octant >> 2) & 1) * kHalf)};
+    hash += record_term(key.packed(), 1, value);
+  }
+  return hash;
 }
 
 uint64_t hash_leaf_records(const std::vector<LeafRecord>& records) {

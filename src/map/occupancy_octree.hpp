@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "geom/aabb.hpp"
+#include "geom/fixed_point.hpp"
+#include "geom/rng.hpp"
 #include "geom/vec3.hpp"
 #include "map/node_arena.hpp"
 #include "map/ockey.hpp"
@@ -253,8 +255,9 @@ class OccupancyOctree {
   /// equal-valued and merged at the root).
   bool root_collapsed() const { return pool_[0].is_leaf(); }
 
-  /// FNV-1a hash over the canonical leaf list; two maps with equal hashes
-  /// have identical content (up to hash collision).
+  /// Leaf-set hash (see leaf_set_hash) of the map, summed in one leaf
+  /// walk; two maps with equal hashes have identical content (up to hash
+  /// collision).
   uint64_t content_hash() const;
 
   /// Operation counters (see PhaseStats).
@@ -359,14 +362,55 @@ inline bool canonical_leaf_less(const LeafRecord& a, const LeafRecord& b) {
   return a.depth < b.depth;
 }
 
-/// FNV-1a hash over a leaf list (assumed already in canonical sort order);
-/// equal lists hash equal — used for cheap map-content comparison.
+/// THE map content hash, over a leaf set in any order: the wrapping sum
+/// of one leaf_set_term per record. A sum composes over any split of the
+/// map, so a sharded map (snapshot chunks, world tiles, accelerator PEs,
+/// a subscription mirror's shards) hashes as the sum of its shards'
+/// hashes, with no merge and no sort; a changed shard moves the total by
+/// its own term difference.
+uint64_t leaf_set_hash(const std::vector<LeafRecord>& records);
+
+namespace detail {
+
+/// The term of one depth>=1 record. The 48-bit packed key and the depth
+/// fill one word; the 16-bit Fixed16 value enters a second round, so every
+/// bit of the record reaches every bit of the term.
+constexpr uint64_t record_term(uint64_t packed_key, int depth, uint16_t value) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  const uint64_t key_depth = packed_key | (static_cast<uint64_t>(depth) << 48);
+  return geom::splitmix64_mix(geom::splitmix64_mix(key_depth + kGolden) +
+                              (static_cast<uint64_t>(value) + 1) * kGolden);
+}
+
+/// A depth-0 record (a fully collapsed map) adds the terms of its eight
+/// depth-1 octants — the depth>=1 normalization of normalize_to_depth1,
+/// applied per record, so the accelerator (which never merges above depth
+/// 1) and a collapsed octree of the same content hash equal.
+uint64_t collapsed_root_term(uint16_t value);
+
+}  // namespace detail
+
+/// One record's leaf-set hash term: value quantized to Fixed16 (the grid
+/// every backend stores), depth-0 records expanded to their depth-1
+/// octants.
+inline uint64_t leaf_set_term(const OcKey& key, int depth, float log_odds) {
+  const auto value = static_cast<uint16_t>(geom::Fixed16::from_float(log_odds).raw());
+  if (depth == 0) return detail::collapsed_root_term(value);
+  return detail::record_term(key.packed(), depth, value);
+}
+
+/// Sequential FNV-1a hash over a leaf list in canonical sort order. Not a
+/// map content hash (that is leaf_set_hash): it is the on-disk tile
+/// signature (world::TilePager, the world manifest), kept so existing
+/// world directories still verify.
 uint64_t hash_leaf_records(const std::vector<LeafRecord>& records);
 
 /// Normalizes a leaf list to depth >= 1 by splitting any depth-0 record
-/// (a fully collapsed map) into its 8 first-level octants. The accelerator
-/// partitions the tree across PEs at level 1 and can never merge above it,
-/// so equivalence comparisons are made in this normalized form.
+/// (a fully collapsed map) into its 8 first-level octants. The
+/// accelerator partitions the tree across PEs at level 1 and can never
+/// merge above it, so leaf-list comparisons (and the tile signature) are
+/// made in this normalized form; leaf_set_term applies the same
+/// normalization per record.
 std::vector<LeafRecord> normalize_to_depth1(std::vector<LeafRecord> records);
 
 /// Generalization of normalize_to_depth1 to an arbitrary partition level:

@@ -60,6 +60,11 @@ std::size_t MapSnapshot::Chunk::memory_bytes() const {
   return bytes;
 }
 
+uint64_t MapSnapshot::Chunk::content_hash() const {
+  std::call_once(hash_once_, [this] { hash_ = map::leaf_set_hash(leaves_); });
+  return hash_;
+}
+
 std::shared_ptr<const MapSnapshot::Chunk> MapSnapshot::build_chunk(const map::LeafRecord* leaves,
                                                                    const uint64_t* dfs_keys,
                                                                    std::size_t n) {
@@ -137,7 +142,6 @@ void MapSnapshot::set_collapsed(float value) {
   chunks_ = {};
   root_ = NodeLookup{NodeKind::kLeaf, value};
   leaves_cache_ = {map::LeafRecord{map::OcKey{}, 0, value}};
-  content_hash_cache_ = map::hash_leaf_records(map::normalize_to_depth1(leaves_cache_));
   lazy_ready_.store(true, std::memory_order_release);
 }
 
@@ -262,8 +266,8 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::assemble(const MapSnapshot* prev
     any = true;
   }
   snap->root_ = any ? NodeLookup{NodeKind::kInner, root_max} : NodeLookup{NodeKind::kUnknown, 0.0f};
-  // leaves()/content_hash() stay lazy: the build does not touch the
-  // canonical flat form.
+  // leaves() and the chunks' hash terms stay lazy: the build neither
+  // sorts nor hashes.
   if (stats) *stats = local;
   return snap;
 }
@@ -291,7 +295,6 @@ void MapSnapshot::ensure_flat() const {
   // in packed order, so one global sort makes the canonical form.
   std::sort(flat.begin(), flat.end(), map::canonical_leaf_less);
   leaves_cache_ = std::move(flat);
-  content_hash_cache_ = map::hash_leaf_records(map::normalize_to_depth1(leaves_cache_));
   lazy_ready_.store(true, std::memory_order_release);
 }
 
@@ -301,8 +304,12 @@ const std::vector<map::LeafRecord>& MapSnapshot::leaves() const {
 }
 
 uint64_t MapSnapshot::content_hash() const {
-  ensure_flat();
-  return content_hash_cache_;
+  if (root_.kind == NodeKind::kLeaf) return map::leaf_set_term(map::OcKey{}, 0, root_.value);
+  uint64_t hash = 0;
+  for (const auto& chunk : chunks_) {
+    if (chunk) hash += chunk->content_hash();
+  }
+  return hash;
 }
 
 std::size_t MapSnapshot::leaf_count() const {

@@ -29,9 +29,12 @@
 // the remaining chunks — by shared_ptr, no copy — with the previous
 // epoch; build is the same path with every branch dirty. A reader holding
 // an old snapshot keeps exactly the chunks that epoch referenced alive;
-// chunks die when the last snapshot referencing them does. The canonical
-// packed-key-sorted flat form (leaves(), content_hash()) is materialized
-// lazily, on first request.
+// chunks die when the last snapshot referencing them does. The content
+// hash follows the same split: map::leaf_set_hash is a sum over leaves,
+// so the snapshot's hash is the sum of one cached term per chunk, and a
+// publication that shares a chunk shares its term. The canonical
+// packed-key-sorted flat form (leaves()) is materialized lazily, on first
+// request.
 #pragma once
 
 #include <array>
@@ -103,6 +106,10 @@ class MapSnapshot {
     std::size_t leaf_count() const { return leaves_.size(); }
     /// Max log-odds over the branch's leaves (feeds the root's value).
     float max_log_odds() const { return max_log_odds_; }
+    /// map::leaf_set_hash of the branch's leaves: computed on first
+    /// request, once per immutable chunk (thread-safe), so publication
+    /// costs nothing extra for consumers that never hash.
+    uint64_t content_hash() const;
     std::size_t memory_bytes() const;
 
    private:
@@ -110,6 +117,8 @@ class MapSnapshot {
     std::array<Level, map::kTreeDepth + 1> levels_;  ///< index 0 unused
     std::vector<map::LeafRecord> leaves_;
     float max_log_odds_ = 0.0f;
+    mutable std::once_flag hash_once_;
+    mutable uint64_t hash_ = 0;
   };
 
   /// What an incremental build reused vs. rebuilt (facade stats surface
@@ -201,9 +210,9 @@ class MapSnapshot {
   /// O(changed) unless a consumer asks for the flat form.
   const std::vector<map::LeafRecord>& leaves() const;
 
-  /// Hash of the canonical leaf content, comparable with the backends'
-  /// content_hash() (same depth>=1 normalization). Lazily computed with
-  /// leaves(), then cached.
+  /// map::leaf_set_hash of the snapshot, comparable with the backends'
+  /// content_hash(): the sum of the chunks' cached terms (O(chunks) once
+  /// each chunk is hashed), or the collapsed root's term. Never sorts.
   uint64_t content_hash() const;
 
   /// The refcounted chunk of first-level branch `branch` (0..7); null when
@@ -257,9 +266,9 @@ class MapSnapshot {
   bool box_recurs(const map::OcKey& base, uint64_t morton, int depth, const geom::Aabb& box,
                   bool unknown_occupied) const;
 
-  /// Fills leaves_cache_/content_hash_cache_ under lazy_mutex_ (double-
-  /// checked via lazy_ready_): one global sort of the chunk runs. Only a
-  /// collapsed snapshot pre-fills it.
+  /// Fills leaves_cache_ under lazy_mutex_ (double-checked via
+  /// lazy_ready_): one global sort of the chunk runs. Only a collapsed
+  /// snapshot pre-fills it.
   void ensure_flat() const;
 
   map::KeyCoder coder_;
@@ -268,11 +277,10 @@ class MapSnapshot {
   NodeLookup root_;  ///< the depth-0 node
   std::array<std::shared_ptr<const Chunk>, 8> chunks_;  ///< null = unknown branch
 
-  // Lazily materialized flat form (leaves() / content_hash()).
+  // Lazily materialized flat form (leaves()).
   mutable std::mutex lazy_mutex_;
   mutable std::atomic<bool> lazy_ready_{false};
   mutable std::vector<map::LeafRecord> leaves_cache_;
-  mutable uint64_t content_hash_cache_ = 0;
 };
 
 }  // namespace omu::query

@@ -9,35 +9,43 @@ namespace omu::service {
 
 // ---- SubscriptionMirror ----------------------------------------------------
 
-void SubscriptionMirror::apply(const DeltaEvent& event) {
-  std::lock_guard lock(mutex_);
-  if (event.baseline != 0) shards_.clear();
-  for (const uint64_t key : event.removed_shards) shards_.erase(key);
+void SubscriptionMirror::apply(DeltaEvent event) {
+  // Hash the incoming runs before taking the lock: readers wait only for
+  // the splice.
+  std::vector<uint64_t> changed_hashes;
+  changed_hashes.reserve(event.changed_shards.size());
   for (const DeltaShard& shard : event.changed_shards) {
-    shards_[shard.shard_key] = shard.leaves;
+    changed_hashes.push_back(map::leaf_set_hash(shard.leaves));
+  }
+
+  std::lock_guard lock(mutex_);
+  if (event.baseline != 0) {
+    shards_.clear();
+    hash_ = 0;
+  }
+  for (const uint64_t key : event.removed_shards) {
+    const auto it = shards_.find(key);
+    if (it == shards_.end()) continue;
+    hash_ -= it->second.hash;
+    shards_.erase(it);
+  }
+  for (std::size_t i = 0; i < event.changed_shards.size(); ++i) {
+    Shard& shard = shards_[event.changed_shards[i].shard_key];
+    hash_ += changed_hashes[i] - shard.hash;
+    shard.leaves = std::move(event.changed_shards[i].leaves);
+    shard.hash = changed_hashes[i];
   }
   epoch_ = event.epoch;
   ++events_;
   if (event.has_hash != 0) {
     ++hash_checks_;
-    std::vector<map::LeafRecord> merged;
-    for (const auto& [key, leaves] : shards_) {
-      merged.insert(merged.end(), leaves.begin(), leaves.end());
-    }
-    std::sort(merged.begin(), merged.end(), map::canonical_leaf_less);
-    const uint64_t hash = map::hash_leaf_records(map::normalize_to_depth1(std::move(merged)));
-    if (hash != event.publisher_hash) ++mismatches_;
+    if (hash_ != event.publisher_hash) ++mismatches_;
   }
 }
 
 uint64_t SubscriptionMirror::content_hash() const {
   std::lock_guard lock(mutex_);
-  std::vector<map::LeafRecord> merged;
-  for (const auto& [key, leaves] : shards_) {
-    merged.insert(merged.end(), leaves.begin(), leaves.end());
-  }
-  std::sort(merged.begin(), merged.end(), map::canonical_leaf_less);
-  return map::hash_leaf_records(map::normalize_to_depth1(std::move(merged)));
+  return hash_;
 }
 
 uint64_t SubscriptionMirror::epoch() const {
@@ -53,7 +61,7 @@ std::size_t SubscriptionMirror::shard_count() const {
 std::size_t SubscriptionMirror::leaf_count() const {
   std::lock_guard lock(mutex_);
   std::size_t n = 0;
-  for (const auto& [key, leaves] : shards_) n += leaves.size();
+  for (const auto& [key, shard] : shards_) n += shard.leaves.size();
   return n;
 }
 
@@ -88,7 +96,7 @@ void ServiceClient::on_event(const Frame& frame) {
   WireReader r(frame.payload);
   event.decode(r);
   const auto it = mirrors_.find(event.subscription_id);
-  if (it != mirrors_.end() && it->second != nullptr) it->second->apply(event);
+  if (it != mirrors_.end() && it->second != nullptr) it->second->apply(std::move(event));
 }
 
 omu::Result<Frame> ServiceClient::call(MsgType type, std::vector<uint8_t> payload) {

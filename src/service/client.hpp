@@ -11,12 +11,13 @@
 // across threads or use one per thread, both work.
 //
 // SubscriptionMirror applies delta events: a baseline resets it, changed
-// shards replace their leaf runs wholesale, removed shards
-// drop. Its content_hash() uses the library's one canonical formula
-// (normalize_to_depth1 + hash_leaf_records over the sorted merged run),
-// so mirror hash == publisher hash proves bit-identical convergence —
-// the subscription suite asserts it every epoch, including across forced
-// tile eviction/reload on the server.
+// shards replace their leaf runs wholesale, removed shards drop. Its
+// content_hash() is the library's one content hash, map::leaf_set_hash,
+// which sums over shards: the mirror caches one term per shard and moves
+// the total by the changed shards' terms only, so an event costs
+// O(changed shards) and mirror hash == publisher hash proves
+// bit-identical convergence — the subscription suite asserts it every
+// epoch, including across forced tile eviction/reload on the server.
 #pragma once
 
 #include <cstdint>
@@ -38,13 +39,15 @@ namespace omu::service {
 /// streamed DeltaEvents. Internally synchronized (apply vs. readers).
 class SubscriptionMirror {
  public:
-  /// Applies one event (baseline resets; changed shards replace; removed
-  /// shards drop). When the event carries the publisher's hash, verifies
-  /// convergence and counts a mismatch if the hashes differ.
-  void apply(const DeltaEvent& event);
+  /// Applies one event (baseline resets; changed shards replace, their
+  /// leaf runs moved in; removed shards drop). When the event carries the
+  /// publisher's hash, verifies convergence and counts a mismatch if the
+  /// hashes differ.
+  void apply(DeltaEvent event);
 
-  /// Canonical content hash of the mirrored map — comparable with
-  /// Mapper::content_hash() of the publishing session.
+  /// Content hash of the mirrored map (the cached sum of its shards'
+  /// terms) — comparable with Mapper::content_hash() of the publishing
+  /// session.
   uint64_t content_hash() const;
 
   uint64_t epoch() const;
@@ -57,8 +60,14 @@ class SubscriptionMirror {
   bool converged() const;
 
  private:
+  struct Shard {
+    std::vector<map::LeafRecord> leaves;
+    uint64_t hash = 0;  ///< map::leaf_set_hash(leaves)
+  };
+
   mutable std::mutex mutex_;
-  std::map<uint64_t, std::vector<map::LeafRecord>> shards_;
+  std::map<uint64_t, Shard> shards_;
+  uint64_t hash_ = 0;  ///< wrapping sum of the shards' hashes
   uint64_t epoch_ = 0;
   uint64_t events_ = 0;
   uint64_t hash_checks_ = 0;

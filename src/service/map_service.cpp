@@ -693,22 +693,22 @@ uint64_t MapService::publish_deltas(Session& session) {
   };
   std::map<uint64_t, ShardRef> current;
 
-  // Publisher hash first: content_hash() re-flushes (a no-op right after
-  // the caller's flush), so the shard capture below matches it exactly.
   const bool want_hash =
       std::any_of(session.subscribers.begin(), session.subscribers.end(),
                   [](const Subscriber& s) { return s.include_hash; });
   uint64_t publisher_hash = 0;
   bool have_hash = false;
-  if (want_hash) {
-    auto result = session.mapper->content_hash();
-    if (result.ok()) {
-      publisher_hash = *result;
-      have_hash = true;
-    }
-  }
 
   if (world::TiledWorldMap* world = session.mapper->internal_world()) {
+    // Publisher hash first: content_hash() re-flushes (a no-op right after
+    // the caller's flush), so the view captured below matches it exactly.
+    if (want_hash) {
+      auto result = session.mapper->content_hash();
+      if (result.ok()) {
+        publisher_hash = *result;
+        have_hash = true;
+      }
+    }
     const auto view = world->capture_view();
     for (const world::TileId id : view->tile_ids()) {
       auto tile = view->tile_snapshot(id);
@@ -719,6 +719,14 @@ uint64_t MapService::publish_deltas(Session& session) {
   } else if (query::QueryService* qs = session.mapper->internal_query_service()) {
     const auto snapshot = qs->snapshot();
     if (snapshot != nullptr) {
+      // The hash of the snapshot being shipped, not a sum over the shards
+      // actually sent: a dropped shard then shows up as a mismatch. Each
+      // chunk's term is computed once and shared by every epoch that
+      // shares the chunk, so this costs O(changed branches).
+      if (want_hash) {
+        publisher_hash = snapshot->content_hash();
+        have_hash = true;
+      }
       for (int branch = 0; branch < 8; ++branch) {
         auto chunk = snapshot->branch_chunk(branch);
         if (chunk == nullptr || chunk->leaves().empty()) continue;
@@ -744,7 +752,8 @@ uint64_t MapService::publish_deltas(Session& session) {
   int64_t max_lag = 0;
   for (auto it = session.subscribers.begin(); it != session.subscribers.end();) {
     Subscriber& sub = *it;
-    DeltaEvent event;
+    DeltaEvent event;  // changed shards travel borrowed, in `changed`
+    std::vector<DeltaShardView> changed;
     event.session_id = session.id;
     event.subscription_id = sub.id;
     event.epoch = session.epoch;
@@ -757,10 +766,10 @@ uint64_t MapService::publish_deltas(Session& session) {
     for (const auto& [key, ref] : current) {
       const auto prev = sub.shards.find(key);
       if (event.baseline != 0 || prev == sub.shards.end() || prev->second != ref.identity) {
-        event.changed_shards.push_back(DeltaShard{key, *ref.leaves});
+        changed.push_back(DeltaShardView{key, ref.leaves});
       }
     }
-    if (event.baseline == 0 && event.changed_shards.empty() && event.removed_shards.empty()) {
+    if (event.baseline == 0 && changed.empty() && event.removed_shards.empty()) {
       ++it;
       continue;  // this subscriber is already converged on this state
     }
@@ -774,7 +783,7 @@ uint64_t MapService::publish_deltas(Session& session) {
     frame.type = static_cast<uint16_t>(MsgType::kDeltaEvent);
     frame.request_id = 0;
     WireWriter w;
-    event.encode(w);
+    event.encode(w, changed);
     frame.payload = w.take();
     const std::size_t frame_bytes = frame.payload.size() + kFrameHeaderBytes + 8;
     if (!send_frame_to(*sub.conn, frame)) {

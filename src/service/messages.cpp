@@ -381,6 +381,15 @@ void MetricsReply::decode(WireReader& r) {
 // ---- DeltaEvent ----------------------------------------------------------
 
 void DeltaEvent::encode(WireWriter& w) const {
+  std::vector<DeltaShardView> changed;
+  changed.reserve(changed_shards.size());
+  for (const DeltaShard& shard : changed_shards) {
+    changed.push_back(DeltaShardView{shard.shard_key, &shard.leaves});
+  }
+  encode(w, changed);
+}
+
+void DeltaEvent::encode(WireWriter& w, const std::vector<DeltaShardView>& changed) const {
   w.u64(session_id);
   w.u64(subscription_id);
   w.u64(epoch);
@@ -389,10 +398,10 @@ void DeltaEvent::encode(WireWriter& w) const {
   w.u64(publisher_hash);
   w.u32(static_cast<uint32_t>(removed_shards.size()));
   for (uint64_t key : removed_shards) w.u64(key);
-  w.u32(static_cast<uint32_t>(changed_shards.size()));
-  for (const DeltaShard& shard : changed_shards) {
+  w.u32(static_cast<uint32_t>(changed.size()));
+  for (const DeltaShardView& shard : changed) {
     w.u64(shard.shard_key);
-    encode_leaves(w, shard.leaves);
+    encode_leaves(w, *shard.leaves);
   }
 }
 

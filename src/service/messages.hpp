@@ -261,11 +261,19 @@ struct MetricsReply {
 };
 
 /// One changed shard in a delta: its full leaf run — depth-first (Morton)
-/// order for a branch shard, canonical order for a tile shard. Receivers
-/// sort the merged runs before hashing, so the order carries no meaning.
+/// order for a branch shard, canonical order for a tile shard. The
+/// content hash (map::leaf_set_hash) is order-independent, so the order
+/// carries no meaning.
 struct DeltaShard {
   uint64_t shard_key = 0;
   std::vector<map::LeafRecord> leaves;
+};
+
+/// A changed shard whose leaf run is borrowed, not owned: the publisher
+/// encodes straight from its snapshot chunk or tile run.
+struct DeltaShardView {
+  uint64_t shard_key = 0;
+  const std::vector<map::LeafRecord>* leaves = nullptr;
 };
 
 /// A subscription delta event (server -> client, request_id 0).
@@ -281,6 +289,10 @@ struct DeltaEvent {
   std::vector<DeltaShard> changed_shards;
 
   void encode(WireWriter& w) const;
+  /// Encodes the event with `changed` in place of changed_shards — the
+  /// publisher's zero-copy path; the bytes equal encode() of an event
+  /// owning copies of the same runs.
+  void encode(WireWriter& w, const std::vector<DeltaShardView>& changed) const;
   void decode(WireReader& r);
 };
 

@@ -45,7 +45,9 @@ class WireError : public std::runtime_error {
 
 inline constexpr uint32_t kWireMagic = 0x4F4D5557;  // "OMUW" little-endian
 /// 2: CreateSession dropped the retired sharded backend's two u32 fields.
-inline constexpr uint16_t kWireVersion = 2;
+/// 3: DeltaEvent::publisher_hash is map::leaf_set_hash (was a sorted FNV),
+///    so mixed-version peers fail the version gate, not every hash check.
+inline constexpr uint16_t kWireVersion = 3;
 /// magic + version + type + request_id + payload_len.
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Hard payload bound; a header announcing more is corruption, not a

@@ -13,9 +13,10 @@ namespace omu::world {
 
 namespace {
 
-/// Canonical tile content signature: normalized to the depth floor shared
-/// by every backend flavour, so save-time and load-time hashes agree for
-/// any TileBackend implementation.
+/// On-disk tile signature (sequential FNV over the sorted export, the
+/// manifest's format): normalized to the depth floor shared by every
+/// backend flavour, so save-time and load-time hashes agree for any
+/// TileBackend implementation.
 TilePager::SavedInfo tile_signature(const map::MapBackend& backend) {
   const std::vector<map::LeafRecord> leaves = backend.leaves_sorted();
   TilePager::SavedInfo info;

@@ -76,7 +76,8 @@ struct TilePagerStats {
 class TilePager {
  public:
   /// Recorded at each tile write; reproduced in the world manifest and
-  /// verified on every read back.
+  /// verified on every read back. content_hash is the on-disk tile
+  /// signature (map::hash_leaf_records), not the leaf-set content hash.
   struct SavedInfo {
     uint64_t content_hash = 0;
     uint64_t leaf_count = 0;

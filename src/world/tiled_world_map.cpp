@@ -162,7 +162,16 @@ std::vector<map::LeafRecord> TiledWorldMap::leaves_sorted() const {
 }
 
 uint64_t TiledWorldMap::content_hash() const {
-  return map::hash_leaf_records(map::normalize_to_depth1(leaves_sorted()));
+  std::lock_guard lock(mutex_);
+  uint64_t hash = 0;
+  for (const TileId id : pager_.known_tiles()) {
+    if (const map::TileBackend* tile = pager_.resident_backend(id)) {
+      hash += tile->backend().content_hash();
+    } else {
+      hash += pager_.read_transient(id)->backend().content_hash();
+    }
+  }
+  return hash;
 }
 
 std::shared_ptr<const WorldQueryView> TiledWorldMap::capture_view() {

@@ -155,7 +155,8 @@ class TiledWorldMap final : public map::MapBackend, private BudgetArbiter::Shedd
   /// (evicted tiles are read transiently; residency is not disturbed).
   std::vector<map::LeafRecord> leaves_sorted() const override;
 
-  /// Hash of the merged map, normalized like OccupancyOctree::content_hash.
+  /// map::leaf_set_hash of the whole world: the sum of its tiles' hashes
+  /// (evicted tiles read transiently), with no merge or sort.
   uint64_t content_hash() const override;
 
   map::PhaseStats* ray_stats() override { return &ray_stats_; }

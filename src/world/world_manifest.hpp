@@ -3,7 +3,7 @@
 // A world directory holds one MANIFEST.omw plus one octree_io v2 tile
 // file per non-empty tile under tiles/. The manifest records the world's
 // metric/sensor parameters, the tile partition, and for each tile its
-// coordinates, canonical content hash and leaf count — enough to reopen
+// coordinates, tile signature and leaf count — enough to reopen
 // the world without touching any tile file, and to verify on reload that
 // a tile file is the one the manifest promised (a swapped or stale file
 // fails with a clean error naming the tile, not a silently wrong map).
@@ -37,7 +37,10 @@ struct WorldManifest {
 
   struct TileEntry {
     TileCoord coord;
-    uint64_t content_hash = 0;  ///< MapBackend::content_hash of the tile
+    /// Tile signature: map::hash_leaf_records of the tile's depth-1
+    /// normalized canonical export (the on-disk FNV, not the leaf-set
+    /// content hash).
+    uint64_t content_hash = 0;
     uint64_t leaf_count = 0;    ///< leaves in the tile's canonical export
   };
   std::vector<TileEntry> tiles;

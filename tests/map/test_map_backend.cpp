@@ -72,13 +72,43 @@ TEST(MapBackend, InserterOverBackendMatchesInserterOverTree) {
 }
 
 TEST(MapBackend, DefaultContentHashHashesLeafExport) {
+  // A backend with no content_hash override: the default is the leaf-set
+  // hash of its export.
+  class ExportOnlyBackend final : public MapBackend {
+   public:
+    explicit ExportOnlyBackend(const OccupancyOctree& tree) : tree_(&tree) {}
+    std::string name() const override { return "export-only"; }
+    const KeyCoder& coder() const override { return tree_->coder(); }
+    OccupancyParams occupancy_params() const override { return tree_->params(); }
+    void apply(const UpdateBatch&) override {}
+    Occupancy classify(const OcKey& key) override { return tree_->classify(key); }
+    std::vector<LeafRecord> leaves_sorted() const override { return tree_->leaves_sorted(); }
+
+   private:
+    const OccupancyOctree* tree_;
+  };
+
   OccupancyOctree tree(0.2);
   OctreeBackend backend(tree);
+  ExportOnlyBackend export_only(tree);
   UpdateBatch batch;
   batch.push(OcKey{32768, 32768, 32768}, true);
   batch.push(OcKey{40000, 32768, 32768}, false);
   backend.apply(batch);
-  EXPECT_EQ(backend.content_hash(), hash_leaf_records(backend.leaves_sorted()));
+  EXPECT_EQ(backend.content_hash(), leaf_set_hash(backend.leaves_sorted()));
+  EXPECT_EQ(export_only.content_hash(), leaf_set_hash(tree.leaves_sorted()));
+  EXPECT_EQ(export_only.content_hash(), backend.content_hash());
+
+  // A collapsed map exports one depth-0 record; the default hashes it as
+  // its eight depth-1 octants, like every other backend.
+  OccupancyOctree collapsed(0.2);
+  for (const LeafRecord& octant : normalize_to_depth1({LeafRecord{OcKey{}, 0, 1.0f}})) {
+    collapsed.set_leaf_at_depth(octant.key, octant.depth, octant.log_odds);
+  }
+  ASSERT_TRUE(collapsed.root_collapsed());
+  const ExportOnlyBackend collapsed_export(collapsed);
+  EXPECT_EQ(collapsed_export.content_hash(),
+            leaf_set_hash(normalize_to_depth1(collapsed.leaves_sorted())));
 }
 
 TEST(UpdateBatch, CountsAndClearKeepCapacity) {

@@ -140,9 +140,10 @@ TEST(QueryServiceConcurrency, ReadersRaceIncrementalChurnPublications) {
   // Incremental publication under readers: the writer churns one octant
   // (all-positive coordinates pin every update to a single first-level
   // branch) and publishes spliced epochs, while readers hammer the live
-  // snapshot *and* force its lazy flat form (leaves()/content_hash() —
-  // several threads can hit the same snapshot's first materialization at
-  // once, exercising the double-checked ensure_flat path). Readers also
+  // snapshot *and* force its lazy forms — several threads can hit the
+  // same snapshot's first leaves() materialization (the double-checked
+  // ensure_flat path) and the same shared chunk's first content_hash()
+  // term (its call_once) at once. Readers also
   // hold superseded epochs and re-verify their hashes never move while
   // later epochs splice chunks the held epoch still shares.
   constexpr int kEpochs = 24;
@@ -170,7 +171,7 @@ TEST(QueryServiceConcurrency, ReadersRaceIncrementalChurnPublications) {
         const auto snapshot = service.snapshot();
         ASSERT_GE(snapshot->epoch(), last_epoch);
         last_epoch = snapshot->epoch();
-        // Race the lazy flat-form materialization with the other readers.
+        // Race the lazy chunk terms and flat form with the other readers.
         const uint64_t hash = snapshot->content_hash();
         ASSERT_EQ(snapshot->leaves().size(), snapshot->leaf_count());
         ASSERT_EQ(snapshot->content_hash(), hash);  // idempotent

@@ -49,6 +49,11 @@ TEST(ServiceSubscription, MirrorConvergesEveryEpoch) {
     // already converged here — every epoch, not just the last.
     EXPECT_EQ(mirror.epoch(), *epoch);
     EXPECT_EQ(mirror.hash_mismatches(), 0u) << "diverged at scan " << scan;
+    // Against the backend's own hash too, not only the publisher hash the
+    // event carried (which is derived from the shipped snapshot).
+    auto server_hash = client.content_hash(*session);
+    ASSERT_TRUE(server_hash.ok());
+    EXPECT_EQ(mirror.content_hash(), *server_hash) << "diverged at scan " << scan;
   }
   EXPECT_TRUE(mirror.converged());
   EXPECT_GT(mirror.leaf_count(), 0u);
@@ -121,6 +126,9 @@ TEST(ServiceSubscription, WorldMirrorSurvivesForcedEvictionAndReload) {
     auto epoch = client.flush(*session);
     ASSERT_TRUE(epoch.ok());
     EXPECT_EQ(mirror.hash_mismatches(), 0u) << "diverged at scan " << scan_index;
+    auto server_hash = client.content_hash(*session);
+    ASSERT_TRUE(server_hash.ok());
+    EXPECT_EQ(mirror.content_hash(), *server_hash) << "diverged at scan " << scan_index;
     ++scan_index;
   }
   EXPECT_TRUE(mirror.converged());

@@ -136,7 +136,7 @@ bool run_tenant(const SmokeOptions& opt, int tenant, std::string& error) {
     }
 
     // Convergence: the mirror matched the publisher hash on every epoch,
-    // and its own canonical hash equals the content-hash RPC right now.
+    // and its own content hash equals the content-hash RPC right now.
     if (mirror.hash_mismatches() != 0 || !mirror.converged()) {
       error = "mirror diverged (" + std::to_string(mirror.hash_mismatches()) + " mismatches in " +
               std::to_string(mirror.events_applied()) + " events)";
